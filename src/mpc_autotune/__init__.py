@@ -15,7 +15,6 @@ from .controller import (
     TimingSpec,
     block_index,
     calibrate_c_eval,
-    feedback,
     open_loop_cost,
     open_loop_gradient,
     shift_warm_start,
@@ -34,10 +33,9 @@ from .design import (
 from .integration import (
     PredictionGrid,
     PropagationError,
+    hold_input,
     n_steps_for,
-    predict_step,
     rk4_step,
-    simulate_fine,
 )
 from .problems import (
     ProblemDefinition,

@@ -30,7 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tune_p.add_argument("--timing-mode", dest="timing_mode", choices=("wallclock", "cost-model"))
     tune_p.add_argument("--timing-repeats", type=int, dest="timing_repeats",
                         help="median-of-n wallclock timing repeats")
-    tune_p.add_argument("--dump-reports", action="store_true", dest="dump_reports",
+    tune_p.add_argument("--dump-reports", action="store_true", default=None, dest="dump_reports",
                         help="write every closed-loop report to reports.jsonl")
     tune_p.add_argument("--out", dest="out_dir", help="output directory")
 
@@ -39,20 +39,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TUNE_OVERRIDES = (
-    "problem", "n_trials", "nb", "nsb", "dev_acc", "gamma", "eps", "c_max",
-    "seed", "jobs", "timing_mode", "timing_repeats", "out_dir",
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "tune":
             config = RunConfig.from_file(args.config) if args.config else RunConfig()
-            overrides = {k: getattr(args, k) for k in _TUNE_OVERRIDES if getattr(args, k) is not None}
-            if args.dump_reports:
-                overrides["dump_reports"] = True
+            # a flag left out parses to None and keeps the config file's value
+            overrides = {
+                k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None
+            }
             if overrides:
                 config = config.replaced(**overrides)
             return run(config)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignVector
-from .integration import PredictionGrid, PropagationError, n_steps_for, rk4_step
+from .integration import PredictionGrid, PropagationError, hold_input, n_steps_for, rk4_stages
 from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
@@ -50,9 +50,9 @@ class TimingSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("wallclock", "cost-model"):
             raise ValueError(f"timing mode must be 'wallclock' or 'cost-model', got {self.mode!r}")
-        if self.repeats < 1:
+        if not self.repeats >= 1:
             raise ValueError(f"timing repeats must be >= 1, got {self.repeats!r}")
-        if self.c_eval is not None and self.c_eval <= 0.0:
+        if self.c_eval is not None and not self.c_eval > 0.0:
             raise ValueError(f"c_eval must be positive, got {self.c_eval!r}")
 
 
@@ -148,64 +148,20 @@ def _penalty_sum(c: Array) -> float:
     return total
 
 
-def _rk4_record(rhs, x: Array, u: Array, p: Array, h: float, t1: Array, t2: Array, record: list | None) -> Array:
-    """One RK4 step, arithmetic identical to rk4_step up to float commutations.
+def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, list]:
+    """Objective value, the number of RK steps spent, and the step record.
 
-    Stage states live in the scratch buffer t1 unless record is a list, in
-    which case they are kept and appended as (x, x2, x3, x4, x_next) so a
-    following sensitivity pass over the same decision vector can reuse them
-    instead of re-evaluating the dynamics.
-    """
-    half = 0.5 * h
-    k1 = rhs(x, u, p)
-    if record is None:
-        x2 = np.multiply(k1, half, out=t1)
-        x2 += x
-        k2 = rhs(x2, u, p)
-        x3 = np.multiply(k2, half, out=t1)
-        x3 += x
-        k3 = rhs(x3, u, p)
-        x4 = np.multiply(k3, h, out=t1)
-        x4 += x
-        k4 = rhs(x4, u, p)
-    else:
-        x2 = np.multiply(k1, half)
-        x2 += x
-        k2 = rhs(x2, u, p)
-        x3 = np.multiply(k2, half)
-        x3 += x
-        k3 = rhs(x3, u, p)
-        x4 = np.multiply(k3, h)
-        x4 += x
-        k4 = rhs(x4, u, p)
-    np.multiply(k2, 2.0, out=t1)
-    t1 += k1
-    np.multiply(k3, 2.0, out=t2)
-    t1 += t2
-    t1 += k4
-    x_next = np.multiply(t1, h / 6.0)
-    x_next += x
-    if record is not None:
-        record.append((x, x2, x3, x4, x_next))
-    return x_next
-
-
-def _cost_pass(
-    setting: MpcSetting, x: Array, p: Array, q: Array, z: Array, record: list | None = None
-) -> tuple[float, int]:
-    """Objective value and the number of RK steps spent.  Returns inf on divergence.
-
-    Finiteness is checked once per updating period through the accumulated
-    cost (any non-finite state poisons the stage cost or the penalty), which
-    keeps the per-substep loop lean.  A record list collects the RK stage
-    states of every substep for reuse by a matching gradient pass.
+    Returns inf on divergence.  Finiteness is checked once per updating
+    period through the accumulated cost (any non-finite state poisons the
+    stage cost or the penalty), which keeps the per-substep loop lean.  The
+    record holds (x, x2, x3, x4, x_next) of every substep, for reuse by a
+    gradient pass over the same decision vector.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     rhs, n_steps = prob.rhs, grid.n_steps
     tau_u, h = grid.tau_u, grid.tau_p
     blocks = z.reshape(design.n_contr, prob.n_u)
-    t1 = np.empty(prob.n_x)
-    t2 = np.empty(prob.n_x)
+    record: list = []
     cost = 0.0
     steps = 0
     xj = x
@@ -213,16 +169,18 @@ def _cost_pass(
         u = blocks[block_index(j, design.n_contr)]
         cost += prob.stage_cost(xj, u, p, q) * tau_u
         for _ in range(n_steps):
-            xj = _rk4_record(rhs, xj, u, p, h, t1, t2, record)
+            stages = rk4_stages(rhs, xj, u, p, h)
+            record.append((xj, *stages))
+            xj = stages[3]
         steps += n_steps
         if prob.n_c:
             cost += design.rho_constr * _penalty_sum(prob.constraint_map(xj, u, p, q)) * tau_u
         if not math.isfinite(cost):
-            return math.inf, steps
+            return math.inf, steps, record
     cost += design.rho_f * prob.terminal_penalty_base(xj, p, q)
     if not (math.isfinite(cost) and np.all(np.isfinite(xj))):
-        return math.inf, steps
-    return cost, steps
+        return math.inf, steps, record
+    return cost, steps, record
 
 
 def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> float:
@@ -232,36 +190,22 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
 
 def _rk4_step_sens(
     prob: ProblemDefinition,
-    x: Array,
+    rec: tuple[Array, ...],
     u: Array,
     p: Array,
     h: float,
     S: Array,
     cols: slice,
     buf: tuple[Array, ...],
-    rec: tuple[Array, ...] | None = None,
-) -> Array:
-    """RK4 step propagating the state and its sensitivity S = dx/dz together.
+) -> None:
+    """Propagate the sensitivity S = dx/dz through one recorded RK4 step.
 
-    S and the scratch buffers are updated in place.  A record from a matching
-    cost pass supplies the stage states; without one they are recomputed with
-    the same arithmetic, so both passes see the same trajectory either way.
+    rec is the (x, x2, x3, x4, x_next) entry of a matching cost pass.  S and
+    the scratch buffers are updated in place.
     """
     K1, K2, K3, K4, T = buf
     half = 0.5 * h
-
-    if rec is None:
-        k1 = prob.rhs(x, u, p)
-        x2 = x + half * k1
-        k2 = prob.rhs(x2, u, p)
-        x3 = x + half * k2
-        k3 = prob.rhs(x3, u, p)
-        x4 = x + h * k3
-        k4 = prob.rhs(x4, u, p)
-        x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        x_rec, x2, x3, x4, x_next = rec
-        assert x_rec is x  # records must follow the trajectory being differentiated
+    x, x2, x3, x4, _ = rec
 
     A, B = prob.rhs_jacobians(x, u, p)
     np.matmul(A, S, out=K1)
@@ -291,17 +235,14 @@ def _rk4_step_sens(
     T += K1
     T *= h / 6.0
     S += T
-    return x_next
 
 
-def _grad_pass(
-    setting: MpcSetting, x: Array, p: Array, q: Array, z: Array, records: list | None = None
-) -> tuple[float, Array, int]:
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> tuple[float, Array, int]:
     """Objective and its exact gradient via forward sensitivities.
 
-    records, when given, must come from a cost pass at the same state and
-    decision vector; its stage states are then reused.  The step count still
-    charges the full sensitivity propagation.
+    records must come from a finite cost pass at the same state and decision
+    vector; its stage states are reused.  The step count still charges the
+    full sensitivity propagation.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h = grid.tau_u, grid.tau_p
@@ -311,13 +252,11 @@ def _grad_pass(
     grad = np.zeros(n_z)
     S = np.zeros((prob.n_x, n_z))
     buf = tuple(np.empty((prob.n_x, n_z)) for _ in range(5))
-    rec_iter = None
-    if records is not None:
-        assert len(records) == design.n_pred * grid.n_steps
-        rec_iter = iter(records)
+    assert len(records) == design.n_pred * grid.n_steps
+    rec_iter = iter(records)
     cost = 0.0
     steps = 0
-    xj = x
+    xj = records[0][0]
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
         cols = slice(b * n_u, (b + 1) * n_u)
@@ -327,8 +266,9 @@ def _grad_pass(
         grad += tau_u * (lx @ S)
         grad[cols] += tau_u * lu
         for _ in range(grid.n_steps):
-            rec = next(rec_iter) if rec_iter is not None else None
-            xj = _rk4_step_sens(prob, xj, u, p, h, S, cols, buf, rec)
+            rec = next(rec_iter)
+            _rk4_step_sens(prob, rec, u, p, h, S, cols, buf)
+            xj = rec[4]
             steps += 1
         if prob.n_c:
             c = prob.constraint_map(xj, u, p, q)
@@ -346,8 +286,15 @@ def _grad_pass(
 
 
 def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> Array:
-    """Gradient of the single-shooting objective with respect to z."""
-    return _grad_pass(setting, np.asarray(x, dtype=float), p, q, np.asarray(z, dtype=float))[1]
+    """Gradient of the single-shooting objective with respect to z.
+
+    Entries are NaN where the objective itself is not finite.
+    """
+    z = np.asarray(z, dtype=float)
+    cost, _, records = _cost_pass(setting, np.asarray(x, dtype=float), p, q, z)
+    if not math.isfinite(cost):
+        return np.full(z.size, math.nan)
+    return _grad_pass(setting, p, q, z, records)[1]
 
 
 def _solve_core(
@@ -387,8 +334,7 @@ def _descend(
 ) -> tuple[Array, float, int, int, bool]:
     total_steps = 0
 
-    records: list = []
-    cost, steps = _cost_pass(setting, x, p, q, z, records)
+    cost, steps, records = _cost_pass(setting, x, p, q, z)
     total_steps += steps
     if not math.isfinite(cost):
         return z, math.inf, 0, total_steps, True
@@ -400,7 +346,7 @@ def _descend(
 
     for _ in range(setting.design.max_iter):
         # records always describe the trajectory of the current iterate z
-        cost_g, grad, steps = _grad_pass(setting, x, p, q, z, records)
+        cost_g, grad, steps = _grad_pass(setting, p, q, z, records)
         total_steps += steps
         if not np.all(np.isfinite(grad)):
             break
@@ -421,8 +367,7 @@ def _descend(
             d = z_try - z
             if float(np.max(np.abs(d))) == 0.0:
                 break
-            try_records: list = []
-            cost_try, steps = _cost_pass(setting, x, p, q, z_try, try_records)
+            cost_try, steps, try_records = _cost_pass(setting, x, p, q, z_try)
             total_steps += steps
             if math.isfinite(cost_try) and cost_try <= cost + ARMIJO_SLOPE * float(grad @ d):
                 accepted = True
@@ -470,19 +415,6 @@ def solve(
     )
 
 
-def feedback(
-    setting: MpcSetting,
-    x: Array,
-    p: Array,
-    q: Array,
-    z0: Array,
-    timing: TimingSpec,
-) -> tuple[Array, OpenLoopResult]:
-    """First input block of the solved OCP, plus the full result."""
-    result = solve(setting, x, p, q, z0, timing)
-    return result.z_opt[: setting.problem.n_u].copy(), result
-
-
 def update_count(duration: float, tau_u: float) -> int:
     """Number of controller updates covering the duration (slack-guarded ceil)."""
     return max(1, math.ceil(duration / tau_u - 1.0e-9))
@@ -512,14 +444,15 @@ def simulate_closed_loop(
     states = np.full((m * kappa + 1, prob.n_x), math.nan)
     inputs = np.full((m, prob.n_u), math.nan)
 
-    x = np.asarray(scenario.x0, dtype=float).copy()
-    states[0] = x
+    states[0] = scenario.x0
     z_warm = setting.default_warm_start() if z0 is None else np.asarray(z0, dtype=float)
     cl_cost = 0.0
     n_solves = 0
     diverged_at: int | None = None
 
     for k in range(m):
+        rows = states[k * kappa : (k + 1) * kappa + 1]
+        x = rows[0]
         result = solve(setting, x, p, q, z_warm, timing)
         n_solves += 1
         if result.diverged:
@@ -531,16 +464,12 @@ def simulate_closed_loop(
         inputs[k] = u
         cl_cost += prob.stage_cost(x, u, p, q) * tau_u
 
-        viol = _penalty_max(prob, x, u, p, q)
         try:
-            for i in range(kappa):
-                x = rk4_step(prob.rhs, x, u, p, tau)
-                states[k * kappa + i + 1] = x
-                viol = max(viol, _penalty_max(prob, x, u, p, q))
+            hold_input(prob.rhs, rows, u, p, tau)
         except PropagationError:
             diverged_at = k
             break
-        max_viols[k] = viol
+        max_viols[k] = max(np.max(prob.constraint_map(row, u, p, q)) for row in rows) if prob.n_c else 0.0
         z_warm = shift_warm_start(result.z_opt, prob.n_u)
 
     diverged = diverged_at is not None
@@ -557,12 +486,6 @@ def simulate_closed_loop(
         diverged_at=diverged_at,
         n_solves=n_solves,
     )
-
-
-def _penalty_max(prob: ProblemDefinition, x: Array, u: Array, p: Array, q: Array) -> float:
-    if prob.n_c == 0:
-        return 0.0
-    return float(np.max(prob.constraint_map(x, u, p, q)))
 
 
 def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:

@@ -58,64 +58,50 @@ class PredictionGrid:
         return self.tau_u / self.n_steps
 
 
-def rk4_unchecked(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
-    """RK4 step without the finiteness check; hot loops verify per period."""
+def rk4_stages(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+    """One classical RK4 step under a constant input, without a finiteness check.
+
+    Returns the stage states and the result, (x2, x3, x4, x_next), so that a
+    sensitivity pass can reuse them instead of re-evaluating the dynamics.
+    """
     half = 0.5 * h
     k1 = rhs(x, u, p)
-    k2 = rhs(x + half * k1, u, p)
-    k3 = rhs(x + half * k2, u, p)
-    k4 = rhs(x + h * k3, u, p)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x2 = k1 * half
+    x2 += x
+    k2 = rhs(x2, u, p)
+    x3 = k2 * half
+    x3 += x
+    k3 = rhs(x3, u, p)
+    x4 = k3 * h
+    x4 += x
+    k4 = rhs(x4, u, p)
+    # in place to spare allocations; sums (k1 + 2 k2 + 2 k3 + k4) in that order
+    x_next = k2 * 2.0
+    x_next += k1
+    x_next += k3 * 2.0
+    x_next += k4
+    x_next *= h / 6.0
+    x_next += x
+    return x2, x3, x4, x_next
 
 
 def rk4_step(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 step under a constant input."""
-    x_next = rk4_unchecked(rhs, x, u, p, h)
+    x_next = rk4_stages(rhs, x, u, p, h)[3]
     if not np.all(np.isfinite(x_next)):
         raise PropagationError("non-finite state after RK4 step")
     return x_next
 
 
-def predict_step(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, grid: PredictionGrid) -> np.ndarray:
-    """Advance one updating period on the prediction grid (input held constant)."""
-    h = grid.tau_p
-    for i in range(grid.n_steps):
-        try:
-            x = rk4_step(rhs, x, u, p, h)
-        except PropagationError as err:
-            raise PropagationError(f"prediction diverged at substep {i}", step=i) from None
-    return x
+def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: float) -> None:
+    """Advance the plant from states[0] at the sampling period tau, holding u.
 
-
-def simulate_fine(
-    rhs: Rhs,
-    x0: np.ndarray,
-    inputs: np.ndarray,
-    p: np.ndarray,
-    tau: float,
-    kappa: int,
-) -> np.ndarray:
-    """Propagate the plant at the sampling period tau under zero-order-hold inputs.
-
-    inputs has one row per updating period; each row is held for kappa fine
-    steps.  Returns the (len(inputs)*kappa + 1, n_x) array of fine-grid states
-    including x0.
+    Row i + 1 of states receives the state after fine step i, in place, so
+    the rows before a failing step stay filled; the PropagationError carries
+    the index of that step.
     """
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa!r}")
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    x = np.asarray(x0, dtype=float).copy()
-    states = np.empty((inputs.shape[0] * kappa + 1, x.size))
-    states[0] = x
-    idx = 0
-    for u in inputs:
-        for _ in range(kappa):
-            try:
-                x = rk4_step(rhs, x, u, p, tau)
-            except PropagationError:
-                raise PropagationError(f"plant propagation diverged at fine step {idx}", step=idx) from None
-            idx += 1
-            states[idx] = x
-    return states
+    for i in range(len(states) - 1):
+        try:
+            states[i + 1] = rk4_step(rhs, states[i], u, p, tau)
+        except PropagationError:
+            raise PropagationError(f"plant propagation diverged at fine step {i}", step=i) from None

@@ -103,14 +103,14 @@ class ProblemDefinition:
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
         if self.stage_cost_grad is not None:
             return self.stage_cost_grad(x, u, p, q)
-        gx = _fd_gradient(lambda v: self.stage_cost(v, u, p, q), x, self.fd_step)
-        gu = _fd_gradient(lambda v: self.stage_cost(x, v, p, q), u, self.fd_step)
+        gx = _fd_jacobian(lambda v: self.stage_cost(v, u, p, q), x, 1, self.fd_step)[0]
+        gu = _fd_jacobian(lambda v: self.stage_cost(x, v, p, q), u, 1, self.fd_step)[0]
         return gx, gu
 
     def terminal_grad(self, x: Array, p: Array, q: Array) -> Array:
         if self.terminal_penalty_grad is not None:
             return self.terminal_penalty_grad(x, p, q)
-        return _fd_gradient(lambda v: self.terminal_penalty_base(v, p, q), x, self.fd_step)
+        return _fd_jacobian(lambda v: self.terminal_penalty_base(v, p, q), x, 1, self.fd_step)[0]
 
     def constraint_jacobians(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
         if self.constraint_jac is not None:
@@ -130,18 +130,6 @@ def _fd_jacobian(f: Callable[[Array], Array], v: Array, n_out: int, step: float)
         vm[i] -= h
         jac[:, i] = (np.asarray(f(vp), dtype=float) - np.asarray(f(vm), dtype=float)) / (2.0 * h)
     return jac
-
-
-def _fd_gradient(f: Callable[[Array], float], v: Array, step: float) -> Array:
-    grad = np.empty(v.size)
-    for i in range(v.size):
-        h = step * max(1.0, abs(v[i]))
-        vp = v.copy()
-        vm = v.copy()
-        vp[i] += h
-        vm[i] -= h
-        grad[i] = (f(vp) - f(vm)) / (2.0 * h)
-    return grad
 
 
 @dataclass(frozen=True)

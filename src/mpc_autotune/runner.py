@@ -68,20 +68,6 @@ class ResultFileError(RuntimeError):
     """Missing or corrupt run artifacts found by summarize()."""
 
 
-_INT_FIELDS = {
-    "n_trials", "nb", "nsb", "sigma_bar", "seed", "jobs", "timing_repeats",
-    "kappa_min", "kappa_max", "n_pred_min", "n_pred_max",
-    "n_contr_min", "n_contr_max", "max_iter_min", "max_iter_max",
-}
-_FLOAT_FIELDS = {
-    "duration", "gamma", "eps", "dev_acc", "c_max", "c_eval",
-    "mu_d_min", "mu_d_max", "rho_f_min", "rho_f_max",
-    "rho_constr_min", "rho_constr_max",
-}
-_BOOL_FIELDS = {"dump_reports", "rho_log_space"}
-_STR_FIELDS = {"problem", "timing_mode", "out_dir"}
-
-
 @dataclass
 class RunConfig:
     """Flat run configuration; keys of the config file match these names."""
@@ -120,23 +106,19 @@ class RunConfig:
     max_iter_max: int = 20
 
     def __post_init__(self) -> None:
-        if self.n_trials < 1:
+        # comparisons are written so that NaN fails them
+        if not self.n_trials >= 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.nb < 1 or self.nsb < 1:
+        if not (self.nb >= 1 and self.nsb >= 1):
             raise ConfigError(f"nb and nsb must be >= 1, got nb={self.nb}, nsb={self.nsb}")
-        if self.sigma_bar < 1:
+        if not self.sigma_bar >= 1:
             raise ConfigError(f"sigma_bar must be >= 1, got {self.sigma_bar}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
-        if self.jobs < 1:
+        if not self.jobs >= 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.timing_mode not in ("wallclock", "cost-model"):
-            raise ConfigError(f"timing_mode must be 'wallclock' or 'cost-model', got {self.timing_mode!r}")
-        if self.timing_repeats < 1:
-            raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
-        if self.c_eval is not None and self.c_eval <= 0.0:
-            raise ConfigError(f"c_eval must be positive, got {self.c_eval}")
         try:
+            TimingSpec(self.timing_mode, self.c_eval, self.timing_repeats)
             self.certification_params()
             self.design_bounds()
         except ValueError as err:
@@ -161,8 +143,7 @@ class RunConfig:
     def from_mapping(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - _FIELD_TYPES.keys())
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = {}
@@ -190,32 +171,43 @@ class RunConfig:
         Path(path).write_text(json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n")
 
     def replaced(self, **overrides) -> "RunConfig":
-        for key in overrides:
-            if key not in {f.name for f in dataclasses.fields(self)}:
-                raise ConfigError(f"unknown config key: {key}")
         return dataclasses.replace(self, **{k: _coerce(k, v) for k, v in overrides.items()})
 
 
+# field name -> annotation: "int", "float", "float | None", "bool" or "str"
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
 def _coerce(key: str, value):
-    if key in _STR_FIELDS:
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key: {key}")
+    if kind == "str":
         if not isinstance(value, str):
             raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
         return value
-    if key in _BOOL_FIELDS:
+    if kind == "bool":
         if not isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
         return value
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    if value is None and kind == "float | None":
+        return None
+    if kind == "int":
+        # is_integer() is False for NaN and +-inf
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()
+        ):
             raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
         return int(value)
-    if key in _FLOAT_FIELDS:
-        if value is None and key == "c_eval":
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
-    raise ConfigError(f"unknown config key: {key}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+    return number
 
 
 # artifact writers -------------------------------------------------------------

@@ -10,6 +10,7 @@ and rank the survivors.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -47,9 +48,9 @@ class CertificationParams:
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma!r}")
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must lie in (0, 1), got {self.eps!r}")
-        if self.dev_acc <= 0.0:
+        if not self.dev_acc > 0.0:
             raise ValueError(f"dev_acc must be positive, got {self.dev_acc!r}")
-        if self.c_max < 0.0:
+        if not self.c_max >= 0.0:
             raise ValueError(f"c_max must be nonnegative, got {self.c_max!r}")
 
 
@@ -165,8 +166,6 @@ class AlphaSearch:
     n_evaluations: int
     evaluations: list[tuple[float, SetEvaluation]]
     upper_bound: float | None = None
-    lower_eval: SetEvaluation | None = None
-    upper_eval: SetEvaluation | None = None
 
     @property
     def n_solves(self) -> int:
@@ -199,15 +198,15 @@ def find_alpha_max(evaluate: Evaluator, params: CertificationParams) -> AlphaSea
     ev1 = evaluate(1.0)
     evaluations.append((1.0, ev1))
     if ev1.passes(params):
-        return AlphaSearch(1.0, None, ev1.cost_sum, 2, evaluations, None, ev1, None)
+        return AlphaSearch(1.0, None, ev1.cost_sum, 2, evaluations)
 
     if ev1.rt <= 0.0:
         # real-time holds on the whole dial range, so alpha_hat = 1; the
         # failure at alpha = 1 is a step-3 rejection by another criterion
-        return AlphaSearch(None, ev1.failed_criterion(params), ev1.cost_sum, 2, evaluations, None, ev1, None)
+        return AlphaSearch(None, ev1.failed_criterion(params), ev1.cost_sum, 2, evaluations)
 
     lo, lo_ev = 0.0, ev0
-    hi, hi_ev = 1.0, ev1
+    hi = 1.0
     while hi - lo > params.eps:
         mid = 0.5 * (lo + hi)
         ev = evaluate(mid)
@@ -215,12 +214,12 @@ def find_alpha_max(evaluate: Evaluator, params: CertificationParams) -> AlphaSea
         if ev.rt <= 0.0:
             lo, lo_ev = mid, ev
         else:
-            hi, hi_ev = mid, ev
+            hi = mid
 
     failure = lo_ev.failed_criterion(params)
     if failure is not None and failure != RT:
-        return AlphaSearch(None, failure, lo_ev.cost_sum, len(evaluations), evaluations, hi, lo_ev, hi_ev)
-    return AlphaSearch(lo, None, lo_ev.cost_sum, len(evaluations), evaluations, hi, lo_ev, hi_ev)
+        return AlphaSearch(None, failure, lo_ev.cost_sum, len(evaluations), evaluations, hi)
+    return AlphaSearch(lo, None, lo_ev.cost_sum, len(evaluations), evaluations, hi)
 
 
 # two-phase tuning ------------------------------------------------------------
@@ -267,27 +266,35 @@ CandidateEvaluator = Callable[[ShapingVector, float, Sequence[Scenario]], SetEva
 ReportSink = Callable[[dict, ClosedLoopReport], None]
 
 
-def _phase1_task(args) -> AlphaSearch:
-    problem, shaping, scenarios, bounds, params, timing, keep_reports = args
-    return find_alpha_max(
-        lambda alpha: evaluate_on_set(
-            problem, shaping, alpha, scenarios, bounds, params, timing, keep_reports, stop_on_rt=True
-        ),
-        params,
-    )
-
-
-def _phase2_task(args) -> SetEvaluation:
-    problem, shaping, alpha, scenarios, bounds, params, timing, keep_reports = args
+def _evaluate_default(
+    problem: ProblemDefinition,
+    bounds: DesignBounds,
+    params: CertificationParams,
+    timing: TimingSpec,
+    keep_reports: bool,
+    shaping: ShapingVector,
+    alpha: float,
+    scenarios: Sequence[Scenario],
+) -> SetEvaluation:
     return evaluate_on_set(
         problem, shaping, alpha, scenarios, bounds, params, timing, keep_reports, stop_on_rt=True
     )
 
 
-def _map_ordered(task, items, pool):
+def _search_dial(
+    evaluate: CandidateEvaluator,
+    shaping: ShapingVector,
+    scenarios: Sequence[Scenario],
+    params: CertificationParams,
+) -> AlphaSearch:
+    return find_alpha_max(lambda alpha: evaluate(shaping, alpha, scenarios), params)
+
+
+def _map_ordered(task, arg_tuples, pool):
+    """task(*args) for every args tuple, in order, inline or on the pool."""
     if pool is None:
-        return [task(item) for item in items]
-    return list(pool.map(task, items))
+        return [task(*args) for args in arg_tuples]
+    return list(pool.map(task, *zip(*arg_tuples)))
 
 
 def tune(
@@ -317,18 +324,14 @@ def tune(
     say = progress if progress is not None else (lambda _msg: None)
 
     pool = None
-    if evaluate is None and jobs > 1 and len(records) > 1:
-        pool = ProcessPoolExecutor(max_workers=jobs)
+    if evaluate is None:
+        evaluate = functools.partial(_evaluate_default, problem, bounds, params, timing, keep_reports)
+        if jobs > 1 and len(records) > 1:
+            pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         # phase 1: freeze alpha_hat on the first batch
         batch0 = batch_set.batches[0]
-        if evaluate is None:
-            items = [(problem, r.shaping, batch0, bounds, params, timing, keep_reports) for r in records]
-            outcomes = _map_ordered(_phase1_task, items, pool)
-        else:
-            outcomes = [
-                find_alpha_max(lambda a, s=r.shaping: evaluate(s, a, batch0), params) for r in records
-            ]
+        outcomes = _map_ordered(_search_dial, [(evaluate, r.shaping, batch0, params) for r in records], pool)
 
         for record, outcome in zip(records, outcomes):
             record.alpha_evaluations = outcome.n_evaluations
@@ -353,17 +356,7 @@ def tune(
         for ell in range(1, nb):
             alive = [r for r in records if r.status == SURVIVING]
             batch = batch_set.batches[ell]
-            if alive:
-                if evaluate is None:
-                    items = [
-                        (problem, r.shaping, r.alpha_hat, batch, bounds, params, timing, keep_reports)
-                        for r in alive
-                    ]
-                    evals = _map_ordered(_phase2_task, items, pool)
-                else:
-                    evals = [evaluate(r.shaping, r.alpha_hat, batch) for r in alive]
-            else:
-                evals = []
+            evals = _map_ordered(evaluate, [(r.shaping, r.alpha_hat, batch) for r in alive], pool)
 
             for record, ev in zip(alive, evals):
                 record.scenarios_evaluated += ev.n_scenarios

@@ -11,7 +11,6 @@ from mpc_autotune import (
     WORK_PER_RK_STEP,
     block_index,
     calibrate_c_eval,
-    feedback,
     open_loop_cost,
     open_loop_gradient,
     pvtol_problem,
@@ -75,6 +74,8 @@ def test_timing_spec_validation():
         TimingSpec(mode="cost-model", c_eval=0.0)
     with pytest.raises(ValueError):
         TimingSpec(repeats=0)
+    with pytest.raises(ValueError):
+        TimingSpec(mode="cost-model", c_eval=math.nan)
 
 
 # open-loop cost: frozen hand-computed values -------------------------------------
@@ -111,7 +112,10 @@ def test_open_loop_cost_diverged_is_inf():
     setting = MpcSetting.from_design(exploding, design)
     with np.errstate(over="ignore", invalid="ignore"):
         J = open_loop_cost(setting, np.array([2.0]), *NO_PQ, np.array([5.0]))
+        g = open_loop_gradient(setting, np.array([2.0]), *NO_PQ, np.array([5.0]))
     assert math.isinf(J)
+    assert g.shape == (1,)
+    assert not np.all(np.isfinite(g))
 
 
 # gradient -------------------------------------------------------------------------
@@ -243,13 +247,6 @@ def test_wallclock_time_is_positive_and_repeats_agree():
                 TimingSpec(mode="wallclock", repeats=3))
     np.testing.assert_array_equal(fast.z_opt, rep.z_opt)
     assert rep.cost == fast.cost
-
-
-def test_feedback_returns_first_block():
-    setting = toy_setting()
-    u0, result = feedback(setting, np.array([0.5]), *NO_PQ, np.zeros(2), COST_TIMING)
-    assert u0.shape == (1,)
-    assert u0[0] == result.z_opt[0]
 
 
 # closed loop -----------------------------------------------------------------------

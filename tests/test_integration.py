@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from mpc_autotune import (
     PredictionGrid,
     PropagationError,
+    hold_input,
     n_steps_for,
-    predict_step,
     rk4_step,
-    simulate_fine,
 )
 
 NO_P = np.zeros(1)
@@ -107,51 +106,42 @@ def test_rk4_raises_on_divergence():
         rk4_step(blowup, np.array([1.0]), np.zeros(1), NO_P, 0.1)
 
 
-# predict_step -------------------------------------------------------------------
+# hold_input ---------------------------------------------------------------------
 
 
-def test_predict_step_equals_manual_substeps():
-    grid = PredictionGrid(tau_u=0.3, n_steps=3)
-    x = np.array([1.0])
-    out = predict_step(decay, x, np.zeros(1), NO_P, grid)
-    manual = x
-    for _ in range(3):
-        manual = rk4_step(decay, manual, np.zeros(1), NO_P, 0.1)
-    assert out[0] == manual[0]
-
-
-def test_predict_step_error_carries_substep_index():
-    flaky = lambda x, u, p: np.array([math.inf]) if x[0] > 1.5 else np.array([x[0]])
-    grid = PredictionGrid(tau_u=40.0, n_steps=10)
-    with pytest.raises(PropagationError) as err:
-        predict_step(flaky, np.array([1.0]), np.zeros(1), NO_P, grid)
-    assert err.value.step is not None
-
-
-# simulate_fine -------------------------------------------------------------------
-
-
-def test_simulate_fine_zero_order_hold():
+def test_hold_input_zero_order_hold():
     rhs = lambda x, u, p: np.array([u[0]])
-    states = simulate_fine(rhs, np.array([0.0]), np.array([[1.0], [0.0]]), NO_P, tau=0.1, kappa=2)
-    assert states.shape == (5, 1)
+    states = np.full((5, 1), np.nan)
+    states[0] = 0.0
+    for k, u in enumerate(([1.0], [0.0])):
+        hold_input(rhs, states[2 * k : 2 * k + 3], np.array(u), NO_P, 0.1)
     np.testing.assert_allclose(states[:, 0], [0.0, 0.1, 0.2, 0.2, 0.2], atol=1e-15)
 
 
-def test_simulate_fine_matches_prediction_at_full_precision():
+def test_hold_input_matches_prediction_at_full_precision():
     # with n_steps = kappa the prediction grid coincides with the fine grid
-    x0 = np.array([1.0])
     u = np.array([0.4])
     kappa = 5
-    fine = simulate_fine(cubic, x0, u[None, :], NO_P, tau=0.02, kappa=kappa)
+    fine = np.empty((kappa + 1, 1))
+    fine[0] = 1.0
+    hold_input(cubic, fine, u, NO_P, 0.02)
     grid = PredictionGrid(tau_u=0.1, n_steps=kappa)
-    pred = predict_step(cubic, x0, u, NO_P, grid)
+    pred = fine[0]
+    for _ in range(grid.n_steps):
+        pred = rk4_step(cubic, pred, u, NO_P, grid.tau_p)
     assert fine[-1, 0] == pytest.approx(pred[0], abs=1e-15)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_simulate_fine_divergence_reports_step():
+def test_hold_input_divergence_reports_step():
     blowup = lambda x, u, p: np.array([x[0] ** 2])
+    # x' = x^2 from 0.1 blows up at t = 10, inside the fourth update
+    states = np.full((11, 1), np.nan)
+    states[0] = 0.1
     with pytest.raises(PropagationError) as err:
-        simulate_fine(blowup, np.array([10.0]), np.ones((5, 1)), NO_P, tau=5.0, kappa=2)
-    assert err.value.step is not None
+        for k in range(5):
+            hold_input(blowup, states[2 * k : 2 * k + 3], np.ones(1), NO_P, 2.0)
+    assert (k, err.value.step) == (3, 1)
+    # the rows before the failing step stay filled, the rest stay untouched
+    assert np.all(np.isfinite(states[:8, 0]))
+    assert np.all(np.isnan(states[8:, 0]))

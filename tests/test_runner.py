@@ -4,6 +4,7 @@ import csv
 import importlib.metadata
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -78,6 +79,19 @@ def test_config_coercion():
         RunConfig.from_mapping({"dump_reports": 1})
     with pytest.raises(ConfigError, match="must be a number"):
         RunConfig.from_mapping({"gamma": "high"})
+    # non-finite numbers never reach int() or the certification tests
+    for key in ("nb", "seed", "max_iter_max"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                RunConfig.from_mapping({key: value})
+    for key in ("duration", "dev_acc", "c_max", "c_eval", "rho_f_max"):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match="must be finite"):
+                RunConfig.from_mapping({key: value})
+    with pytest.raises(ConfigError, match="must be finite"):
+        RunConfig.from_mapping({"duration": 10 ** 400})
+    with pytest.raises(ConfigError, match="must be finite"):
+        RunConfig().replaced(dev_acc=math.nan)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +110,14 @@ def test_config_coercion():
         {"eps": 1.0},
         {"kappa_min": 0},        # design bounds reject it
         {"n_contr_min": 3, "n_contr_max": 2},
+        # NaN fails every check, whichever way round it is written
+        {"n_trials": math.nan},
+        {"duration": math.nan},
+        {"timing_repeats": math.nan},
+        {"c_eval": math.nan},
+        {"dev_acc": math.nan},
+        {"c_max": math.nan},
+        {"gamma": math.nan},
     ],
 )
 def test_config_validation(overrides):
@@ -463,6 +485,58 @@ def test_cli_tune_errors(tmp_path, capsys):
     assert main(["tune", "--problem", "warp-drive", "--n-trials", "1",
                  "--nb", "1", "--nsb", "1", "--out", str(out)]) == 2
     assert "warp-drive" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
+    for text in ('{"nb": Infinity}', '{"nb": NaN}', '{"duration": NaN}', '{"dev_acc": NaN}'):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert main(["tune", "--dev-acc", "nan", "--out", str(tmp_path / "out")]) == 2
+    assert "dev_acc" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# a non-default value for every tune flag, and the RunConfig field it sets
+TUNE_FLAGS = {
+    "--problem": ("problem", "pvtol-other"),
+    "--n-trials": ("n_trials", 7),
+    "--nb": ("nb", 4),
+    "--nsb": ("nsb", 6),
+    "--dev-acc": ("dev_acc", 2.5),
+    "--gamma": ("gamma", 0.9),
+    "--eps": ("eps", 0.2),
+    "--c-max": ("c_max", 0.3),
+    "--seed": ("seed", 11),
+    "--jobs": ("jobs", 3),
+    "--timing-mode": ("timing_mode", "cost-model"),
+    "--timing-repeats": ("timing_repeats", 5),
+    "--out": ("out_dir", "elsewhere"),
+}
+
+
+def test_cli_every_tune_flag_reaches_config(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr("mpc_autotune.cli.run", lambda config: seen.append(config) or 0)
+    argv = ["tune", "--dump-reports"]
+    for flag, (_, value) in TUNE_FLAGS.items():
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    (config,) = seen
+    defaults = RunConfig()
+    for field, value in TUNE_FLAGS.values():
+        assert getattr(defaults, field) != value
+        assert getattr(config, field) == value
+    assert defaults.dump_reports is False and config.dump_reports is True
+
+    # a flag left out keeps the config file's value, --dump-reports included
+    cfg_path = tmp_path / "config.json"
+    RunConfig(dump_reports=True, nb=9, c_eval=2e-6).to_file(cfg_path)
+    assert main(["tune", "--config", str(cfg_path), "--nsb", "2"]) == 0
+    config = seen[-1]
+    assert (config.dump_reports, config.nb, config.nsb, config.c_eval) == (True, 9, 2, 2e-6)
+    assert config.out_dir == defaults.out_dir
 
 
 def test_cli_summarize(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,9 @@ def test_certification_params_validation():
         CertificationParams(dev_acc=0.0)
     with pytest.raises(ValueError):
         CertificationParams(c_max=-0.1)
+    for bad in ({"dev_acc": math.nan}, {"c_max": math.nan}, {"gamma": math.nan}, {"eps": math.nan}):
+        with pytest.raises(ValueError):
+            CertificationParams(**bad)
 
 
 # dichotomic dial search --------------------------------------------------------------
