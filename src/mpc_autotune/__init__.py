@@ -14,6 +14,7 @@ from .controller import (
     OpenLoopResult,
     TimingSpec,
     block_index,
+    budget_excess,
     calibrate_c_eval,
     open_loop_cost,
     open_loop_gradient,

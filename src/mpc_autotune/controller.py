@@ -100,7 +100,14 @@ class OpenLoopResult:
 
 @dataclass
 class ClosedLoopReport:
-    """Per-update records of one receding-horizon simulation."""
+    """Per-update records of one receding-horizon simulation.
+
+    A simulation given a real-time budget stops at the first update whose
+    solve overruns it: stopped_at names that update, whose solver time is
+    recorded, and every other per-update entry from it on reads +inf, as
+    after a divergence.  The closed-loop cost of a diverged or stopped
+    simulation reads +inf.
+    """
 
     solver_times: Array
     open_loop_costs: Array
@@ -113,6 +120,7 @@ class ClosedLoopReport:
     diverged: bool
     diverged_at: int | None
     n_solves: int
+    stopped_at: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,6 +128,7 @@ class ClosedLoopReport:
             "tau_u": self.tau_u,
             "diverged": self.diverged,
             "diverged_at": self.diverged_at,
+            "stopped_at": self.stopped_at,
             "n_solves": self.n_solves,
             "closed_loop_cost": self.closed_loop_cost,
             "solver_times": self.solver_times.tolist(),
@@ -128,6 +137,15 @@ class ClosedLoopReport:
             "states": self.states.tolist(),
             "inputs": self.inputs.tolist(),
         }
+
+
+def budget_excess(t, budget: float):
+    """Relative overshoot t / budget - 1 of a solver time (or an array of
+    them) past the real-time budget; positive means an overrun.  The
+    certification's real-time test and the early stop both read this one
+    expression, so they cannot disagree on a time one ulp past the budget.
+    """
+    return t / budget - 1.0
 
 
 def block_index(j: int, n_contr: int) -> int:
@@ -237,8 +255,9 @@ def _rk4_step_sens(
     S += T
 
 
-def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> tuple[float, Array, int]:
-    """Objective and its exact gradient via forward sensitivities.
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> tuple[Array, int]:
+    """Exact gradient of the objective via forward sensitivities, and the
+    number of RK steps spent.
 
     records must come from a finite cost pass at the same state and decision
     vector; its stage states are reused.  The step count still charges the
@@ -254,14 +273,12 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
     buf = tuple(np.empty((prob.n_x, n_z)) for _ in range(5))
     assert len(records) == design.n_pred * grid.n_steps
     rec_iter = iter(records)
-    cost = 0.0
     steps = 0
     xj = records[0][0]
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
         cols = slice(b * n_u, (b + 1) * n_u)
         u = blocks[b]
-        cost += prob.stage_cost(xj, u, p, q) * tau_u
         lx, lu = prob.stage_cost_grads(xj, u, p, q)
         grad += tau_u * (lx @ S)
         grad[cols] += tau_u * lu
@@ -272,7 +289,6 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
             steps += 1
         if prob.n_c:
             c = prob.constraint_map(xj, u, p, q)
-            cost += design.rho_constr * _penalty_sum(c) * tau_u
             active = np.flatnonzero(c > 0.0)
             if active.size:
                 Cx, Cu = prob.constraint_jacobians(xj, u, p, q)
@@ -280,9 +296,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
                 for i in active:
                     grad += scale * (Cx[i] @ S)
                     grad[cols] += scale * Cu[i]
-    cost += design.rho_f * prob.terminal_penalty_base(xj, p, q)
     grad += design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
-    return cost, grad, steps
+    return grad, steps
 
 
 def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> Array:
@@ -294,7 +309,7 @@ def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Arr
     cost, _, records = _cost_pass(setting, np.asarray(x, dtype=float), p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
-    return _grad_pass(setting, p, q, z, records)[1]
+    return _grad_pass(setting, p, q, z, records)[0]
 
 
 def _solve_core(
@@ -304,11 +319,14 @@ def _solve_core(
     q: Array,
     z0: Array,
     g_tol: float,
+    over_budget: Callable[[int], bool] | None = None,
 ) -> tuple[Array, float, int, int, bool]:
     """Projected-gradient descent with Armijo backtracking inside the input box.
 
     Returns (z_best, cost_best, iterations_used, rk_steps, diverged).  The
     best-ever iterate is returned, so the result never degrades z0.
+    over_budget(rk_steps), when given, is asked between passes; once it
+    holds, the descent returns the best iterate so far.
     """
     z_lo, z_hi = setting.z_bounds()
     z = np.clip(np.asarray(z0, dtype=float), z_lo, z_hi)
@@ -317,7 +335,7 @@ def _solve_core(
     err_state = np.errstate(over="ignore", invalid="ignore")
     err_state.__enter__()
     try:
-        return _descend(setting, x, p, q, z, z_lo, z_hi, g_tol)
+        return _descend(setting, x, p, q, z, z_lo, z_hi, g_tol, over_budget)
     finally:
         err_state.__exit__(None, None, None)
 
@@ -331,6 +349,7 @@ def _descend(
     z_lo: Array,
     z_hi: Array,
     g_tol: float,
+    over_budget: Callable[[int], bool] | None,
 ) -> tuple[Array, float, int, int, bool]:
     total_steps = 0
 
@@ -345,8 +364,10 @@ def _descend(
     iterations = 0
 
     for _ in range(setting.design.max_iter):
+        if over_budget is not None and over_budget(total_steps):
+            return best_z, best_cost, iterations, total_steps, False
         # records always describe the trajectory of the current iterate z
-        cost_g, grad, steps = _grad_pass(setting, p, q, z, records)
+        grad, steps = _grad_pass(setting, p, q, z, records)
         total_steps += steps
         if not np.all(np.isfinite(grad)):
             break
@@ -363,6 +384,8 @@ def _descend(
 
         accepted = False
         for _ in range(MAX_BACKTRACKS):
+            if over_budget is not None and over_budget(total_steps):
+                return best_z, best_cost, iterations, total_steps, False
             z_try = np.clip(z - s * grad, z_lo, z_hi)
             d = z_try - z
             if float(np.max(np.abs(d))) == 0.0:
@@ -391,15 +414,29 @@ def solve(
     z0: Array,
     timing: TimingSpec,
     g_tol: float = 1.0e-8,
+    budget: float | None = None,
 ) -> OpenLoopResult:
-    """Solve one OCP, timing it according to the TimingSpec."""
+    """Solve one OCP, timing it according to the TimingSpec.
+
+    Given a real-time budget, a cost-model solve stops between passes as
+    soon as its modelled time is past the budget.  The modelled time only
+    grows with the work, so the solve run to its end would overrun too; the
+    time returned still does, and a solve within the budget is unchanged.
+    The cut falls between whole RK steps, so work_units still counts the
+    stage evaluations made.  A wallclock solve always runs to its end.
+    """
     x = np.asarray(x, dtype=float)
     if timing.mode == "cost-model":
-        if timing.c_eval is None:
+        c_eval = timing.c_eval
+        if c_eval is None:
             raise ValueError("cost-model timing requires c_eval")
-        z_opt, cost, iters, rk_steps, diverged = _solve_core(setting, x, p, q, z0, g_tol)
+        over_budget = None
+        if budget is not None:
+            def over_budget(rk_steps: int) -> bool:
+                return budget_excess(c_eval * (WORK_PER_RK_STEP * rk_steps), budget) > 0.0
+        z_opt, cost, iters, rk_steps, diverged = _solve_core(setting, x, p, q, z0, g_tol, over_budget)
         work = WORK_PER_RK_STEP * rk_steps
-        return OpenLoopResult(z_opt, cost, iters, timing.c_eval * work, work, diverged)
+        return OpenLoopResult(z_opt, cost, iters, c_eval * work, work, diverged)
 
     times = []
     first = None
@@ -425,13 +462,16 @@ def simulate_closed_loop(
     scenario: Scenario,
     timing: TimingSpec,
     z0: Array | None = None,
+    budget: float | None = None,
 ) -> ClosedLoopReport:
     """Receding-horizon simulation of one scenario.
 
     The plant always advances at the problem's sampling period tau; the input
     is held for kappa fine steps between updates.  Warm starts shift the
     previous solution by one block.  On solver or plant divergence the report
-    is flagged and the remaining per-update entries read +inf.
+    is flagged and the remaining per-update entries read +inf.  Given a
+    real-time budget, the simulation stops at the first update whose solve
+    overruns it (see ClosedLoopReport); the solve gets the budget too.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     kappa, tau, tau_u = design.kappa, prob.tau, grid.tau_u
@@ -449,16 +489,20 @@ def simulate_closed_loop(
     cl_cost = 0.0
     n_solves = 0
     diverged_at: int | None = None
+    stopped_at: int | None = None
 
     for k in range(m):
         rows = states[k * kappa : (k + 1) * kappa + 1]
         x = rows[0]
-        result = solve(setting, x, p, q, z_warm, timing)
+        result = solve(setting, x, p, q, z_warm, timing, budget=budget)
         n_solves += 1
         if result.diverged:
             diverged_at = k
             break
         solver_times[k] = result.solver_time
+        if budget is not None and budget_excess(result.solver_time, budget) > 0.0:
+            stopped_at = k
+            break
         ol_costs[k] = result.cost
         u = result.z_opt[: prob.n_u].copy()
         inputs[k] = u
@@ -477,7 +521,7 @@ def simulate_closed_loop(
         solver_times=solver_times,
         open_loop_costs=ol_costs,
         max_violations=max_viols,
-        closed_loop_cost=math.inf if diverged else cl_cost,
+        closed_loop_cost=math.inf if diverged or stopped_at is not None else cl_cost,
         m=m,
         tau_u=tau_u,
         states=states,
@@ -485,6 +529,7 @@ def simulate_closed_loop(
         diverged=diverged,
         diverged_at=diverged_at,
         n_solves=n_solves,
+        stopped_at=stopped_at,
     )
 
 

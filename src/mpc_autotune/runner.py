@@ -354,7 +354,11 @@ def run(config: RunConfig) -> int:
         logger.info("seeds: %s", json.dumps(seeds, sort_keys=True))
 
         shapings = [sample_shaping(sigma_rng, config.sigma_bar) for _ in range(config.n_trials)]
-        scenarios = generate_cloud(problem, config.nb * config.nsb, cloud_seed, duration=config.duration)
+        n_scenarios = config.nb * config.nsb
+        try:
+            scenarios = generate_cloud(problem, n_scenarios, cloud_seed, duration=config.duration)
+        except (ValueError, MemoryError) as err:  # numpy cannot build arrays of that size
+            raise ConfigError(f"cannot build a scenario cloud of nb*nsb = {n_scenarios:.6g} scenarios: {err}") from None
         batch_set = make_batches(scenarios, config.nb, config.nsb)
 
         c_eval = config.c_eval

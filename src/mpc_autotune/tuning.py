@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .controller import ClosedLoopReport, MpcSetting, TimingSpec, simulate_closed_loop
+from .controller import ClosedLoopReport, MpcSetting, TimingSpec, budget_excess, simulate_closed_loop
 from .design import DesignBounds, DesignVector, ShapingVector, realize
 from .problems import ProblemDefinition, Scenario, ScenarioBatchSet
 
@@ -55,28 +55,44 @@ class CertificationParams:
 
 
 # certification criteria -----------------------------------------------------
+#
+# Each criterion is clipped at zero from below and reads a NaN as +inf, so a
+# NaN can never pass.  A stopped report (one that ended at its first
+# real-time overrun) was never timed past its stop and never reached the end
+# of its horizon: like a diverged one it passes no criterion at any budget,
+# and all three read +inf.
+
+
+def _clipped(x: float) -> float:
+    if x <= 0.0:
+        return 0.0
+    return x if x > 0.0 else math.inf
+
+
+def _unfinished(report: ClosedLoopReport) -> bool:
+    return report.diverged or report.stopped_at is not None
 
 
 def rt_excess(report: ClosedLoopReport, tau_u: float, dev_acc: float) -> float:
     """Worst relative overshoot of solver time past the real-time budget
-    dev_acc * tau_u, clipped at zero.  +inf for diverged reports."""
-    if report.diverged:
+    dev_acc * tau_u, clipped at zero.  +inf for diverged or stopped reports."""
+    if _unfinished(report):
         return math.inf
-    budget = dev_acc * tau_u
-    return float(np.max(np.maximum(0.0, report.solver_times / budget - 1.0)))
+    return _clipped(float(np.max(budget_excess(report.solver_times, dev_acc * tau_u))))
+
 
 def contraction_excess(report: ClosedLoopReport, gamma: float) -> float:
     """Violation of the end-of-horizon decrease J_ol(m) <= gamma * J_ol(1)."""
-    if report.diverged:
+    if _unfinished(report):
         return math.inf
-    return max(0.0, float(report.open_loop_costs[-1] - gamma * report.open_loop_costs[0]))
+    return _clipped(float(report.open_loop_costs[-1] - gamma * report.open_loop_costs[0]))
 
 
 def constraint_excess(report: ClosedLoopReport) -> float:
     """Worst fine-grid constraint violation over the whole simulation."""
-    if report.diverged:
+    if _unfinished(report):
         return math.inf
-    return max(0.0, float(np.max(report.max_violations)))
+    return _clipped(float(np.max(report.max_violations)))
 
 
 @dataclass
@@ -124,16 +140,20 @@ def evaluate_on_set(
     With stop_on_rt the walk stops at the first scenario breaking the
     real-time budget: rt has the highest failure precedence, so the verdict
     cannot change and the remaining simulations would be discarded anyway.
+    For the same reason each simulation gets the budget dev_acc * tau_u and
+    stops at its first overrunning update.  The sign of rt is that of the
+    full walk, and an evaluation with rt <= 0 is identical to it.
     """
     design = realize(shaping, alpha, bounds)
     setting = MpcSetting.from_design(problem, design)
+    budget = params.dev_acc * setting.grid.tau_u if stop_on_rt else None
     rt = contraction = constraint = 0.0
     cost_sum = 0.0
     n_solves = 0
     n_scenarios = 0
     reports: list[ClosedLoopReport] | None = [] if keep_reports else None
     for scenario in scenarios:
-        report = simulate_closed_loop(setting, scenario, timing)
+        report = simulate_closed_loop(setting, scenario, timing, budget=budget)
         rt = max(rt, rt_excess(report, setting.grid.tau_u, params.dev_acc))
         contraction = max(contraction, contraction_excess(report, params.gamma))
         constraint = max(constraint, constraint_excess(report))

@@ -69,6 +69,7 @@ def stub_report(
     tau_u: float = 0.1,
     diverged: bool = False,
     closed_loop_cost: float = 1.0,
+    stopped_at: int | None = None,
 ) -> ClosedLoopReport:
     st = np.asarray(solver_times, dtype=float)
     m = st.size
@@ -78,14 +79,15 @@ def stub_report(
         solver_times=st,
         open_loop_costs=ol,
         max_violations=mv,
-        closed_loop_cost=math.inf if diverged else closed_loop_cost,
+        closed_loop_cost=math.inf if diverged or stopped_at is not None else closed_loop_cost,
         m=m,
         tau_u=tau_u,
         states=np.zeros((m + 1, 1)),
         inputs=np.zeros((m, 1)),
         diverged=diverged,
         diverged_at=0 if diverged else None,
-        n_solves=m,
+        n_solves=m if stopped_at is None else stopped_at + 1,
+        stopped_at=stopped_at,
     )
 
 

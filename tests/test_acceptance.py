@@ -9,6 +9,7 @@ minutes of single-core time; everything else finishes in seconds.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -386,6 +387,7 @@ def _report_from_dict(d: dict) -> ClosedLoopReport:
         diverged=d["diverged"],
         diverged_at=d["diverged_at"],
         n_solves=d["n_solves"],
+        stopped_at=d["stopped_at"],
     )
 
 
@@ -398,6 +400,44 @@ def test_criterion_9_device_speed_monotonicity(desk_runs):
         report = _report_from_dict(json.loads(line)["report"])
         assert rt_excess(report, report.tau_u, 2.0) <= rt_excess(report, report.tau_u, 1.0)
     return f"{len(lines)} simulation reports"
+
+
+# supplementary: stopping at the first overrun keeps the verdicts -----------------
+
+
+def test_stop_on_rt_keeps_full_walk_verdicts():
+    """On batch 1 of the desk cloud, the walk that stops at the first
+    real-time overrun gives rt the sign of the full walk, and every
+    evaluation with rt <= 0 is identical to the full one."""
+    t0 = time.perf_counter()
+    cfg = RunConfig.from_mapping(TUNE_SETTINGS)
+    problem = get_problem(cfg.problem)()
+    # the shaping stream and cloud seed of run(cfg)
+    sigma_seq, cloud_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(sigma_seq)
+    shapings = [sample_shaping(rng, cfg.sigma_bar) for _ in range(2)]
+    cloud_seed = int(cloud_seq.generate_state(1, dtype=np.uint64)[0])
+    scenarios = generate_cloud(problem, cfg.nb * cfg.nsb, cloud_seed, duration=cfg.duration)
+    batch1 = make_batches(scenarios, cfg.nb, cfg.nsb).batches[0]
+    timing = TimingSpec("cost-model", c_eval=cfg.c_eval)
+    args = (batch1, cfg.design_bounds(), cfg.certification_params(), timing)
+
+    overruns = []
+    for shaping in shapings:
+        for alpha in (0.0, 0.5, 1.0):
+            stopped = evaluate_on_set(problem, shaping, alpha, *args, stop_on_rt=True)
+            full = evaluate_on_set(problem, shaping, alpha, *args)
+            assert (stopped.rt > 0.0) == (full.rt > 0.0)
+            if full.rt > 0.0:
+                assert stopped.n_solves < full.n_solves
+            else:
+                assert dataclasses.astuple(stopped) == dataclasses.astuple(full)
+            overruns.append(full.rt > 0.0)
+    assert any(overruns) and not all(overruns)  # both verdicts are exercised
+    _verdict(
+        f"supplementary: PASS in {time.perf_counter() - t0:.1f}s "
+        f"({sum(overruns)} of {len(overruns)} evaluations overrun)"
+    )
 
 
 # supplementary: a run shaped to leave survivors ----------------------------------

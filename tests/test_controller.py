@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mpc_autotune import (
     TimingSpec,
     WORK_PER_RK_STEP,
     block_index,
+    budget_excess,
     calibrate_c_eval,
     open_loop_cost,
     open_loop_gradient,
@@ -316,6 +318,66 @@ def test_closed_loop_divergence_is_flagged():
     assert report.diverged_at is not None
     assert math.isinf(report.closed_loop_cost)
     assert report.n_solves <= report.m
+
+
+def test_budgeted_solve_is_over_exactly_when_the_full_solve_is():
+    prob, setting = pvtol_setting()
+    x0 = np.array([0.6, -0.4, 0.2, 0.3, -0.2, 0.1])
+    q = np.array([0.0, 0.0, 1.0, 0.5])
+    z0 = setting.default_warm_start()
+    full = solve(setting, x0, prob.p_nom, q, z0, COST_TIMING)
+    t = full.solver_time
+    tight = 0.05 * t
+    for budget in (tight, 0.5 * t, np.nextafter(t, 0.0), t, np.nextafter(t, math.inf), 2.0 * t):
+        cut = solve(setting, x0, prob.p_nom, q, z0, COST_TIMING, budget=budget)
+        over = budget_excess(t, budget) > 0.0
+        assert (budget_excess(cut.solver_time, budget) > 0.0) == over
+        assert cut.solver_time == COST_TIMING.c_eval * cut.work_units
+        assert cut.work_units % WORK_PER_RK_STEP == 0
+        if over:
+            assert cut.work_units <= full.work_units
+        else:
+            assert (cut.cost, cut.iterations_used, cut.solver_time, cut.work_units) == (
+                full.cost, full.iterations_used, full.solver_time, full.work_units
+            )
+            np.testing.assert_array_equal(cut.z_opt, full.z_opt)
+        if budget == tight:  # cut well short of the solve's end
+            assert cut.work_units < full.work_units
+
+
+def test_closed_loop_stops_at_first_overrun():
+    prob, setting = pvtol_setting()
+    x0 = np.array([0.9, 0.9, 0.3, 0.5, -0.5, 0.5])
+    scenario = Scenario(x0=x0, p=prob.p_nom, q=np.array([0.0, 0.0, 1.0, 0.5]), duration=0.5)
+    full = simulate_closed_loop(setting, scenario, COST_TIMING)
+    assert full.stopped_at is None
+    # a budget that update k's solve overruns and the ones before it do not
+    times = full.solver_times
+    k = next(i for i in range(1, full.m) if times[i] > max(times[:i]))
+    budget = max(times[:k])
+    assert budget_excess(full.solver_times[k], budget) > 0.0
+    stopped = simulate_closed_loop(setting, scenario, COST_TIMING, budget=budget)
+    assert stopped.stopped_at == k
+    assert not stopped.diverged and stopped.diverged_at is None
+    assert stopped.n_solves == k + 1
+    assert budget_excess(stopped.solver_times[k], budget) > 0.0
+    np.testing.assert_array_equal(stopped.solver_times[:k], full.solver_times[:k])
+    np.testing.assert_array_equal(stopped.open_loop_costs[:k], full.open_loop_costs[:k])
+    assert np.all(np.isinf(stopped.solver_times[k + 1 :]))
+    assert np.all(np.isinf(stopped.open_loop_costs[k:]))
+    assert math.isinf(stopped.closed_loop_cost)
+    kappa = setting.design.kappa
+    np.testing.assert_array_equal(stopped.states[: k * kappa + 1], full.states[: k * kappa + 1])
+    assert np.all(np.isnan(stopped.states[k * kappa + 1 :]))  # no plant step after the stop
+    d = json.loads(json.dumps(stopped.to_json_dict()))
+    assert d["stopped_at"] == k and d["diverged"] is False and d["n_solves"] == k + 1
+    assert json.loads(json.dumps(full.to_json_dict()))["stopped_at"] is None
+    # a budget no update overruns changes nothing
+    loose = simulate_closed_loop(setting, scenario, COST_TIMING, budget=max(full.solver_times))
+    assert loose.stopped_at is None
+    np.testing.assert_array_equal(loose.solver_times, full.solver_times)
+    np.testing.assert_array_equal(loose.states, full.states)
+    assert loose.closed_loop_cost == full.closed_loop_cost
 
 
 def test_report_json_roundtrip():

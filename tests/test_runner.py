@@ -498,6 +498,23 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_unbuildable_scenario_cloud(tmp_path, capsys, monkeypatch):
+    # numpy refuses the array shape before allocating anything
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"nb": 1e300, "nsb": 1, "n_trials": 1}')
+    assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: cannot build a scenario cloud of nb*nsb = 1e+300 scenarios:")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr("mpc_autotune.runner.generate_cloud", out_of_memory)
+    assert main(["tune", "--nb", "2", "--nsb", "3", "--n-trials", "1", "--out", str(tmp_path / "out")]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "error: cannot build a scenario cloud of nb*nsb = 6 scenarios: Unable to allocate"
+
+
 # a non-default value for every tune flag, and the RunConfig field it sets
 TUNE_FLAGS = {
     "--problem": ("problem", "pvtol-other"),

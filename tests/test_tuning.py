@@ -1,5 +1,5 @@
 import math
-import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +88,27 @@ def test_constraint_excess_all_satisfied():
 def test_constraint_excess_diverged():
     report = stub_report([0.01], diverged=True)
     assert math.isinf(constraint_excess(report))
+
+
+def test_criteria_read_nan_as_failure():
+    assert rt_excess(stub_report([0.05, math.nan]), 0.1, 1.0) == math.inf
+    assert contraction_excess(stub_report([0.01] * 2, open_loop_costs=[100.0, math.nan]), 0.98) == math.inf
+    with np.errstate(invalid="ignore"):  # inf - 0.98 * inf is NaN
+        assert contraction_excess(stub_report([0.01] * 2, open_loop_costs=[math.inf] * 2), 0.98) == math.inf
+    assert constraint_excess(stub_report([0.01] * 2, max_violations=[-0.1, math.nan])) == math.inf
+
+
+def test_criteria_on_stopped_report():
+    # stopped at update 1, the first overrun; update 2 never ran
+    report = stub_report([0.05, 0.12, math.inf], open_loop_costs=[5.0, math.inf, math.inf],
+                         max_violations=[-0.1, math.inf, math.inf], stopped_at=1)
+    assert not report.diverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dev_acc in (1.0, 2.0):  # the looser budget cannot certify the untimed updates
+            assert rt_excess(report, 0.1, dev_acc) == math.inf
+        assert contraction_excess(report, 0.98) == math.inf
+        assert constraint_excess(report) == math.inf
 
 
 # SetEvaluation verdicts -------------------------------------------------------------
