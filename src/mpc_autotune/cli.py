@@ -55,6 +55,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ResultFileError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ the survivor table, and emits elimination_curve.csv.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import TimingSpec, calibrate_c_eval
+from .controller import TimingSpec, calibrate_c_eval, update_count
 from .design import DesignBounds, sample_shaping
 from .problems import generate_cloud, get_problem, make_batches
 from .tuning import (
@@ -338,6 +339,11 @@ def run(config: RunConfig) -> int:
             problem = get_problem(config.problem)()
         except KeyError as err:
             raise ConfigError(str(err)) from None
+        if config.gamma < 1.0 and update_count(config.duration, config.kappa_min * problem.tau) == 1:
+            raise ConfigError(
+                f"duration {config.duration} allows one controller update even at kappa_min = {config.kappa_min}: "
+                f"the contraction test J(m) <= gamma * J(1) with gamma = {config.gamma} < 1 fails every candidate"
+            )
 
         jobs = config.jobs
         cpus = os.cpu_count() or 1
@@ -373,27 +379,25 @@ def run(config: RunConfig) -> int:
         for line in coverage_note(config.nb, config.nsb, config.n_trials):
             logger.info("%s", line)
 
-        dumped: list[tuple[dict, object]] = []
-        sink = (lambda ctx, rep: dumped.append((ctx, rep))) if config.dump_reports else None
+        with open(out / "reports.jsonl", "w") if config.dump_reports else contextlib.nullcontext() as dump:
 
-        result = tune(
-            problem,
-            shapings,
-            batch_set,
-            config.design_bounds(),
-            config.certification_params(),
-            timing,
-            jobs=jobs,
-            report_sink=sink,
-            progress=logger.info,
-        )
+            def sink(ctx: dict, rep) -> None:
+                dump.write(json.dumps({"context": ctx, "report": rep.to_json_dict()}, sort_keys=True) + "\n")
+
+            result = tune(
+                problem,
+                shapings,
+                batch_set,
+                config.design_bounds(),
+                config.certification_params(),
+                timing,
+                jobs=jobs,
+                report_sink=None if dump is None else sink,
+                progress=logger.info,
+            )
 
         write_settings_csv(out / "settings.csv", result, problem.tau)
         write_trace_json(out / "trace.json", result, config, seeds)
-        if config.dump_reports:
-            with open(out / "reports.jsonl", "w") as f:
-                for ctx, rep in dumped:
-                    f.write(json.dumps({"context": ctx, "report": rep.to_json_dict()}, sort_keys=True) + "\n")
 
         elapsed = time.perf_counter() - t_start
         logger.info(

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import multiprocessing
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -107,18 +109,18 @@ class SetEvaluation:
     n_scenarios: int = 0
     reports: list[ClosedLoopReport] | None = None
 
-    def passes(self, params: CertificationParams) -> bool:
-        return self.rt <= 0.0 and self.contraction <= 0.0 and self.constraint <= params.c_max
-
     def failed_criterion(self, params: CertificationParams) -> str | None:
-        """First failed criterion in precedence order, or None."""
-        if self.rt > 0.0:
+        """First failed criterion in precedence order, or None; a NaN fails."""
+        if not self.rt <= 0.0:
             return RT
-        if self.contraction > 0.0:
+        if not self.contraction <= 0.0:
             return CONTRACTION
-        if self.constraint > params.c_max:
+        if not self.constraint <= params.c_max:
             return CONSTRAINTS
         return None
+
+    def passes(self, params: CertificationParams) -> bool:
+        return self.failed_criterion(params) is None
 
 
 Evaluator = Callable[[float], SetEvaluation]
@@ -183,9 +185,12 @@ class AlphaSearch:
     alpha_hat: float | None
     failure: str | None
     cost_sum: float
-    n_evaluations: int
     evaluations: list[tuple[float, SetEvaluation]]
     upper_bound: float | None = None
+
+    @property
+    def n_evaluations(self) -> int:
+        return len(self.evaluations)
 
     @property
     def n_solves(self) -> int:
@@ -212,18 +217,16 @@ def find_alpha_max(evaluate: Evaluator, params: CertificationParams) -> AlphaSea
 
     ev0 = evaluate(0.0)
     evaluations.append((0.0, ev0))
-    if ev0.rt > 0.0:
-        return AlphaSearch(None, RT_AT_ZERO, ev0.cost_sum, 1, evaluations)
+    if not ev0.rt <= 0.0:
+        return AlphaSearch(None, RT_AT_ZERO, ev0.cost_sum, evaluations)
 
     ev1 = evaluate(1.0)
     evaluations.append((1.0, ev1))
-    if ev1.passes(params):
-        return AlphaSearch(1.0, None, ev1.cost_sum, 2, evaluations)
-
     if ev1.rt <= 0.0:
-        # real-time holds on the whole dial range, so alpha_hat = 1; the
+        # real-time holds on the whole dial range, so alpha_hat = 1; a
         # failure at alpha = 1 is a step-3 rejection by another criterion
-        return AlphaSearch(None, ev1.failed_criterion(params), ev1.cost_sum, 2, evaluations)
+        failure = ev1.failed_criterion(params)
+        return AlphaSearch(1.0 if failure is None else None, failure, ev1.cost_sum, evaluations)
 
     lo, lo_ev = 0.0, ev0
     hi = 1.0
@@ -236,10 +239,8 @@ def find_alpha_max(evaluate: Evaluator, params: CertificationParams) -> AlphaSea
         else:
             hi = mid
 
-    failure = lo_ev.failed_criterion(params)
-    if failure is not None and failure != RT:
-        return AlphaSearch(None, failure, lo_ev.cost_sum, len(evaluations), evaluations, hi)
-    return AlphaSearch(lo, None, lo_ev.cost_sum, len(evaluations), evaluations, hi)
+    failure = lo_ev.failed_criterion(params)  # lo passed rt: any failure is a step-3 rejection
+    return AlphaSearch(lo if failure is None else None, failure, lo_ev.cost_sum, evaluations, hi)
 
 
 # two-phase tuning ------------------------------------------------------------
@@ -284,37 +285,39 @@ class TuningResult:
 
 CandidateEvaluator = Callable[[ShapingVector, float, Sequence[Scenario]], SetEvaluation]
 ReportSink = Callable[[dict, ClosedLoopReport], None]
+Outcome = tuple[AlphaSearch, list[SetEvaluation]]
 
 
-def _evaluate_default(
-    problem: ProblemDefinition,
-    bounds: DesignBounds,
-    params: CertificationParams,
-    timing: TimingSpec,
-    keep_reports: bool,
-    shaping: ShapingVector,
-    alpha: float,
-    scenarios: Sequence[Scenario],
-) -> SetEvaluation:
-    return evaluate_on_set(
-        problem, shaping, alpha, scenarios, bounds, params, timing, keep_reports, stop_on_rt=True
-    )
-
-
-def _search_dial(
+def _certify(
     evaluate: CandidateEvaluator,
-    shaping: ShapingVector,
-    scenarios: Sequence[Scenario],
+    batches: Sequence[Sequence[Scenario]],
     params: CertificationParams,
-) -> AlphaSearch:
-    return find_alpha_max(lambda alpha: evaluate(shaping, alpha, scenarios), params)
+    shaping: ShapingVector,
+) -> Outcome:
+    """One candidate's task: the dial search on the first batch and, unless it
+    rejects the candidate, the later batches at alpha_hat up to the first
+    failing one."""
+    search = find_alpha_max(lambda alpha: evaluate(shaping, alpha, batches[0]), params)
+    later: list[SetEvaluation] = []
+    if search.alpha_hat is not None:
+        for batch in batches[1:]:
+            later.append(evaluate(shaping, search.alpha_hat, batch))
+            if not later[-1].passes(params):
+                break
+    return search, later
 
 
-def _map_ordered(task, arg_tuples, pool):
-    """task(*args) for every args tuple, in order, inline or on the pool."""
-    if pool is None:
-        return [task(*args) for args in arg_tuples]
-    return list(pool.map(task, *zip(*arg_tuples)))
+_worker_args: tuple = ()  # a pool worker's (evaluate, batches, params)
+
+
+def _start_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it by ending the workers
+
+
+def _certify_in_worker(shaping: ShapingVector) -> Outcome:
+    return _certify(*_worker_args, shaping)
 
 
 def tune(
@@ -331,97 +334,85 @@ def tune(
 ) -> TuningResult:
     """Run the two-phase tuning loop over all candidates.
 
-    Results are byte-reproducible for any worker count: scenario order, cost
-    summation order, and elimination order are fixed by candidate and batch
-    indices, never by completion time.  A custom evaluate callable (used by
-    tests and by non-picklable problems) forces inline execution.
+    Each candidate is one _certify task, run inline or on jobs forked workers
+    that inherit the problem, so it need not be picklable; evaluate replaces
+    evaluate_on_set (tests pass fakes).  The report sink gets the reports
+    candidate by candidate.  Results are byte-reproducible for any worker
+    count: scenario order, cost summation order, and elimination order are
+    fixed by candidate and batch indices, never by completion time.  An
+    exception or interrupt cancels the queued candidates and ends the workers.
     """
-    records = [CandidateRecord(index=j, shaping=s) for j, s in enumerate(shapings)]
-    nb, nsb = batch_set.nb, batch_set.nsb
-    keep_reports = report_sink is not None
-    solve_count = 0
-    step3_rejections = 0
-    say = progress if progress is not None else (lambda _msg: None)
-
-    pool = None
     if evaluate is None:
-        evaluate = functools.partial(_evaluate_default, problem, bounds, params, timing, keep_reports)
-        if jobs > 1 and len(records) > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
+        evaluate = functools.partial(evaluate_on_set, problem, bounds=bounds, params=params, timing=timing,
+                                     keep_reports=report_sink is not None, stop_on_rt=True)
+    task_args = (evaluate, batch_set.batches, params)
+    say = progress if progress is not None else (lambda _msg: None)
+    records: list[CandidateRecord] = []
+    solve_count = 0
+    pool = None
     try:
-        # phase 1: freeze alpha_hat on the first batch
-        batch0 = batch_set.batches[0]
-        outcomes = _map_ordered(_search_dial, [(evaluate, r.shaping, batch0, params) for r in records], pool)
-
-        for record, outcome in zip(records, outcomes):
-            record.alpha_evaluations = outcome.n_evaluations
-            record.scenarios_evaluated = outcome.n_scenarios
-            solve_count += outcome.n_solves
-            _drain_reports(report_sink, outcome, record.index)
-            if outcome.alpha_hat is None:
+        if jobs > 1 and len(shapings) > 1:
+            pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_start_worker, initargs=task_args)
+            outcomes = pool.map(_certify_in_worker, shapings)
+        else:
+            outcomes = map(functools.partial(_certify, *task_args), shapings)
+        for index, (shaping, (search, later)) in enumerate(zip(shapings, outcomes)):
+            record = CandidateRecord(index, shaping, alpha_evaluations=search.n_evaluations,
+                                     scenarios_evaluated=search.n_scenarios + sum(ev.n_scenarios for ev in later))
+            records.append(record)
+            solve_count += search.n_solves + sum(ev.n_solves for ev in later)
+            if search.alpha_hat is None:
                 record.status = INFEASIBLE_AT_A0
                 record.eliminated_batch = 1
-                record.eliminated_criterion = outcome.failure
-                if outcome.failure in (CONTRACTION, CONSTRAINTS):
-                    step3_rejections += 1
+                record.eliminated_criterion = search.failure
             else:
-                record.alpha_hat = outcome.alpha_hat
-                record.design = realize(record.shaping, outcome.alpha_hat, bounds)
-                record.cumulative_cost = outcome.cost_sum
-        say(f"batch 1: {sum(r.status == SURVIVING for r in records)}/{len(records)} candidates feasible")
-
-        # phase 2: eliminate on the remaining batches at frozen alpha_hat
-        trace: list[int] = []
-        eliminated = 0
-        for ell in range(1, nb):
-            alive = [r for r in records if r.status == SURVIVING]
-            batch = batch_set.batches[ell]
-            evals = _map_ordered(evaluate, [(r.shaping, r.alpha_hat, batch) for r in alive], pool)
-
-            for record, ev in zip(alive, evals):
-                record.scenarios_evaluated += ev.n_scenarios
-                solve_count += ev.n_solves
-                if report_sink is not None and ev.reports:
-                    for i, rep in enumerate(ev.reports):
-                        report_sink({"phase": 2, "candidate": record.index, "batch": ell + 1, "scenario": i}, rep)
+                record.alpha_hat = search.alpha_hat
+                record.design = realize(shaping, search.alpha_hat, bounds)
+                record.cumulative_cost = search.cost_sum
+            for batch, ev in enumerate(later, start=2):  # only the last one can fail
                 failed = ev.failed_criterion(params)
                 if failed is None:
                     record.cumulative_cost += ev.cost_sum
                 else:
                     record.status = ELIMINATED
-                    record.eliminated_batch = ell + 1
+                    record.eliminated_batch = batch
                     record.eliminated_criterion = failed
-                    eliminated += 1
-            trace.append(eliminated)
-            say(f"batch {ell + 1}: {eliminated} eliminated so far, {sum(r.status == SURVIVING for r in records)} alive")
-    finally:
+            if report_sink is not None:
+                for alpha, ev in search.evaluations:
+                    for i, rep in enumerate(ev.reports or ()):
+                        report_sink({"phase": 1, "candidate": index, "alpha": alpha, "scenario": i}, rep)
+                for batch, ev in enumerate(later, start=2):
+                    for i, rep in enumerate(ev.reports or ()):
+                        report_sink({"phase": 2, "candidate": index, "batch": batch, "scenario": i}, rep)
+            why = f" at batch {record.eliminated_batch}: {record.eliminated_criterion}" if record.eliminated_batch else ""
+            say(f"candidate {index}: {record.status}{why}")
+    except BaseException:
         if pool is not None:
-            pool.shutdown()
+            workers = list(pool._processes.values())  # as terminate_workers() does from Python 3.14
+            pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.terminate()
+        raise
+    if pool is not None:
+        pool.shutdown()
 
     survivors = sorted(
         (r.index for r in records if r.status == SURVIVING),
         key=lambda j: (records[j].cumulative_cost, j),
     )
-    best = survivors[0] if survivors else None
+    eliminated_at = [r.eliminated_batch for r in records if r.status == ELIMINATED]
     return TuningResult(
         records=records,
         survivors=survivors,
-        best_index=best,
-        elimination_trace=trace,
+        best_index=survivors[0] if survivors else None,
+        elimination_trace=[sum(b <= ell for b in eliminated_at) for ell in range(2, batch_set.nb + 1)],
         ocp_solve_count=solve_count,
-        step3_rejections=step3_rejections,
-        nb=nb,
-        nsb=nsb,
+        step3_rejections=sum(r.eliminated_criterion in (CONTRACTION, CONSTRAINTS) for r in records
+                             if r.status == INFEASIBLE_AT_A0),
+        nb=batch_set.nb,
+        nsb=batch_set.nsb,
     )
-
-
-def _drain_reports(report_sink: ReportSink | None, outcome: AlphaSearch, candidate: int) -> None:
-    if report_sink is None:
-        return
-    for alpha, ev in outcome.evaluations:
-        if ev.reports:
-            for i, rep in enumerate(ev.reports):
-                report_sink({"phase": 1, "candidate": candidate, "alpha": alpha, "scenario": i}, rep)
 
 
 # scenario-count certificate ---------------------------------------------------

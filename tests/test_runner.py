@@ -7,13 +7,16 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mpc_autotune
+import mpc_autotune.problems
 from mpc_autotune.cli import main
 from mpc_autotune.design import DesignVector, ShapingVector
 from mpc_autotune.runner import (
@@ -41,6 +44,8 @@ from mpc_autotune.tuning import (
     TuningResult,
     required_scenarios,
 )
+
+from conftest import integrator_problem
 
 
 # RunConfig ---------------------------------------------------------------------------
@@ -321,6 +326,90 @@ def test_run_dump_reports(tmp_path):
         assert {"context", "report"} <= set(entry)
         assert entry["context"]["phase"] in (1, 2)
         assert "solver_times" in entry["report"]
+
+
+def test_run_dump_reports_identical_across_jobs_in_candidate_order(tmp_path):
+    dumps = []
+    for jobs in (1, 2):
+        out = tmp_path / f"dump{jobs}"
+        run(RunConfig(**TINY, jobs=jobs, dump_reports=True, out_dir=str(out)))
+        dumps.append((out / "reports.jsonl").read_bytes())
+    assert dumps[0] == dumps[1]
+    contexts = [json.loads(line)["context"] for line in dumps[0].decode().splitlines()]
+    order = [(c["candidate"], c["phase"], c.get("batch", 1)) for c in contexts]
+    assert order == sorted(order)
+    assert {c["candidate"] for c in contexts} == {0, 1}
+
+
+def test_run_problem_with_lambda_callbacks_on_a_pool(tmp_path, monkeypatch):
+    # the pool's forked workers inherit the problem: it is never pickled
+    monkeypatch.setitem(mpc_autotune.problems._REGISTRY, "integrator-toy", integrator_problem)
+    runs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        run(RunConfig(**{**TINY, "problem": "integrator-toy", "duration": 0.5}, jobs=jobs, out_dir=str(out)))
+        runs.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
+    assert runs[0] == runs[1]
+
+
+def test_run_rejects_a_duration_of_one_update(tmp_path, capsys):
+    # m = 1 for every candidate: J(1) <= gamma * J(1) fails whenever gamma < 1
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"duration": 0.01, "n_trials": 1, "nb": 1, "nsb": 1, '
+                        '"timing_mode": "cost-model", "c_eval": 1e-6}')
+    assert main(["tune", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "duration" in capsys.readouterr().err.splitlines()[-1]
+    assert main(["tune", "--config", str(cfg_path), "--gamma", "1.0", "--out", str(tmp_path / "out")]) in (0, 3)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_cli_interrupt_ends_a_pooled_run_promptly(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    RunConfig(problem="pvtol", n_trials=6, nb=5, nsb=4, duration=0.5, timing_mode="cost-model",
+              c_eval=1e-6, seed=7, jobs=2, out_dir=str(tmp_path / "out")).to_file(cfg_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(mpc_autotune.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "mpc_autotune.cli", "tune", "--config", str(cfg_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            start_new_session=True)
+    workers: list[int] = []
+    try:
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.1)
+            workers = [int(pid) for pid in children.read_text().split()]
+        assert len(workers) == 2, "the pool did not start"
+        time.sleep(1.0)  # both workers are inside a candidate now
+        proc.send_signal(signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the interrupted run did not exit within 10 s")
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "interrupted"
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(_alive(pid) for pid in workers)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_run_wallclock_clamps_jobs(tmp_path):

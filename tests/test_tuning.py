@@ -119,6 +119,12 @@ def test_passes_respects_constraint_margin():
     assert not SetEvaluation(0.0, 0.0, 0.11, 1.0).passes(PARAMS)
     assert not SetEvaluation(1e-9, 0.0, 0.0, 1.0).passes(PARAMS)
     assert not SetEvaluation(0.0, 1e-9, 0.0, 1.0).passes(PARAMS)
+    # a NaN fails, and passes() agrees with failed_criterion()
+    for nan_case, criterion in (((math.nan, 0.0, 0.0), RT), ((0.0, math.nan, 0.0), CONTRACTION),
+                                ((0.0, 0.0, math.nan), CONSTRAINTS)):
+        ev = SetEvaluation(*nan_case, 1.0)
+        assert not ev.passes(PARAMS)
+        assert ev.failed_criterion(PARAMS) == criterion
 
 
 def test_failed_criterion_precedence():
@@ -418,6 +424,32 @@ def test_tune_report_sink_receives_tagged_reports():
     assert {t["alpha"] for t in phase1} == {0.0, 1.0}
     assert all(t["batch"] == 2 for t in phase2)
     assert all(t["candidate"] == 0 for t in sink_calls)
+
+
+def test_tune_derives_trace_and_rejections_per_candidate():
+    # candidate 0 survives, 1 is rejected by the step-3 re-check, 2 fails batch 3
+    batch_set, prob = dummy_batches(nb=4, nsb=2)
+    step3, late = ShapingVector((1, 1, 1, 1, 1, 1, 2)), ShapingVector((1, 1, 1, 1, 1, 1, 3))
+    sink_calls = []
+
+    def evaluate(shaping, alpha, scenarios):
+        contraction = 1.0 if shaping is step3 or (shaping is late and scenarios is batch_set.batches[2]) else 0.0
+        reports = [stub_report([0.01]) for _ in scenarios]
+        return SetEvaluation(0.0, contraction, 0.0, 1.0, n_scenarios=len(scenarios), reports=reports)
+
+    result = tune(prob, [ANY_SHAPING, step3, late], batch_set, DesignBounds(), PARAMS,
+                  TimingSpec(mode="cost-model", c_eval=1e-6), evaluate=evaluate,
+                  report_sink=lambda tag, report: sink_calls.append(tag))
+    assert [r.status for r in result.records] == [SURVIVING, INFEASIBLE_AT_A0, ELIMINATED]
+    assert result.records[2].eliminated_batch == 3
+    assert result.elimination_trace == [0, 1, 1]
+    assert result.step3_rejections == 1
+    # candidate by candidate: the dial search by alpha, then the later batches in order
+    steps = [(t["candidate"], t["phase"], t.get("alpha", t.get("batch"))) for t in sink_calls if t["scenario"] == 0]
+    assert steps == [(0, 1, 0.0), (0, 1, 1.0), (0, 2, 2), (0, 2, 3), (0, 2, 4),
+                     (1, 1, 0.0), (1, 1, 1.0),
+                     (2, 1, 0.0), (2, 1, 1.0), (2, 2, 2), (2, 2, 3)]
+    assert len(sink_calls) == 2 * len(steps)
 
 
 # end-to-end evaluate_on_set on the real plant ----------------------------------------
