@@ -172,31 +172,39 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     Returns inf on divergence.  Finiteness is checked once per updating
     period through the accumulated cost (any non-finite state poisons the
     stage cost or the penalty), which keeps the per-substep loop lean.  The
-    record holds (x, x2, x3, x4, x_next) of every substep, for reuse by a
-    gradient pass over the same decision vector.
+    state is carried as a tuple of floats between RK steps and becomes an
+    array once per updating period, for the other callbacks.  The record
+    holds the tuples (x, x2, x3, x4, x_next) of every substep, for reuse by
+    a gradient pass over the same decision vector.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     rhs, n_steps = prob.rhs, grid.n_steps
     tau_u, h = grid.tau_u, grid.tau_p
     blocks = z.reshape(design.n_contr, prob.n_u)
+    u_tuples = [tuple(row) for row in blocks.tolist()]
     record: list = []
     cost = 0.0
     steps = 0
-    xj = x
+    xt = tuple(x.tolist())
     for j in range(design.n_pred):
-        u = blocks[block_index(j, design.n_contr)]
-        cost += prob.stage_cost(xj, u, p, q) * tau_u
-        for _ in range(n_steps):
-            stages = rk4_stages(rhs, xj, u, p, h)
-            record.append((xj, *stages))
-            xj = stages[3]
+        b = block_index(j, design.n_contr)
+        u, ut = blocks[b], u_tuples[b]
+        cost += prob.stage_cost(x, u, p, q) * tau_u
+        try:
+            for _ in range(n_steps):
+                stages = rk4_stages(rhs, xt, ut, p, h)
+                record.append((xt, *stages))
+                xt = stages[3]
+        except ArithmeticError:  # a float overflow in rhs: the period diverged and is charged whole
+            return math.inf, steps + n_steps, record
         steps += n_steps
+        x = np.array(xt)
         if prob.n_c:
-            cost += design.rho_constr * _penalty_sum(prob.constraint_map(xj, u, p, q)) * tau_u
+            cost += design.rho_constr * _penalty_sum(prob.constraint_map(x, u, p, q)) * tau_u
         if not math.isfinite(cost):
             return math.inf, steps, record
-    cost += design.rho_f * prob.terminal_penalty_base(xj, p, q)
-    if not (math.isfinite(cost) and np.all(np.isfinite(xj))):
+    cost += design.rho_f * prob.terminal_penalty_base(x, p, q)
+    if not (math.isfinite(cost) and np.all(np.isfinite(x))):
         return math.inf, steps, record
     return cost, steps, record
 
@@ -208,7 +216,7 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
 
 def _rk4_step_sens(
     prob: ProblemDefinition,
-    rec: tuple[Array, ...],
+    rec: Array,
     u: Array,
     p: Array,
     h: float,
@@ -218,7 +226,7 @@ def _rk4_step_sens(
 ) -> None:
     """Propagate the sensitivity S = dx/dz through one recorded RK4 step.
 
-    rec is the (x, x2, x3, x4, x_next) entry of a matching cost pass.  S and
+    rec holds the (x, x2, x3, x4, x_next) rows of a matching cost pass.  S and
     the scratch buffers are updated in place.
     """
     K1, K2, K3, K4, T = buf
@@ -260,8 +268,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
     number of RK steps spent.
 
     records must come from a finite cost pass at the same state and decision
-    vector; its stage states are reused.  The step count still charges the
-    full sensitivity propagation.
+    vector; its stage states are reused, read into one array.  The step
+    count still charges the full sensitivity propagation.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h = grid.tau_u, grid.tau_p
@@ -272,9 +280,10 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
     S = np.zeros((prob.n_x, n_z))
     buf = tuple(np.empty((prob.n_x, n_z)) for _ in range(5))
     assert len(records) == design.n_pred * grid.n_steps
-    rec_iter = iter(records)
+    stage_states = np.array(records, dtype=float)
+    rec_iter = iter(stage_states)
     steps = 0
-    xj = records[0][0]
+    xj = stage_states[0, 0]
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
         cols = slice(b * n_u, (b + 1) * n_u)
@@ -534,9 +543,10 @@ def simulate_closed_loop(
 
 
 def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:
-    """Seconds per RK stage evaluation, measured by timing rhs calls."""
-    x = 0.5 * (problem.x_min + problem.x_max)
-    u = problem.u_trim if problem.u_trim is not None else 0.5 * (problem.u_min + problem.u_max)
+    """Seconds per RK stage evaluation, measured by timing rhs calls made as
+    the RK4 kernel makes them, on tuples of floats."""
+    x = tuple((0.5 * (problem.x_min + problem.x_max)).tolist())
+    u = tuple((problem.u_trim if problem.u_trim is not None else 0.5 * (problem.u_min + problem.u_max)).tolist())
     p = problem.p_nom
     problem.rhs(x, u, p)  # warm any lazy setup before timing
     t0 = time.perf_counter()

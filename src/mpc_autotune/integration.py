@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-Rhs = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+State = tuple[float, ...]
+Rhs = Callable[[State, State, np.ndarray], Sequence[float]]
 
 
 class PropagationError(RuntimeError):
@@ -58,37 +59,39 @@ class PredictionGrid:
         return self.tau_u / self.n_steps
 
 
-def rk4_stages(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, h: float) -> tuple[np.ndarray, ...]:
+def rk4_stages(rhs: Rhs, x: State, u: State, p: np.ndarray, h: float) -> tuple[State, State, State, State]:
     """One classical RK4 step under a constant input, without a finiteness check.
 
-    Returns the stage states and the result, (x2, x3, x4, x_next), so that a
-    sensitivity pass can reuse them instead of re-evaluating the dynamics.
+    x and u are tuples of Python floats, and rhs is called on tuples; the
+    step runs on floats, which spares numpy's per-call cost on short vectors.
+    Returns the stage states and the result, (x2, x3, x4, x_next), as tuples,
+    so that a sensitivity pass can reuse them instead of re-evaluating the
+    dynamics.  A float overflow may raise an ArithmeticError (** raises
+    OverflowError) instead of giving inf; callers read it as divergence.
     """
     half = 0.5 * h
     k1 = rhs(x, u, p)
-    x2 = k1 * half
-    x2 += x
+    if len(k1) != len(x):  # zip below would truncate silently
+        raise ValueError(f"rhs returned {len(k1)} values for a state of length {len(x)}")
+    x2 = tuple([a * half + b for a, b in zip(k1, x)])
     k2 = rhs(x2, u, p)
-    x3 = k2 * half
-    x3 += x
+    x3 = tuple([a * half + b for a, b in zip(k2, x)])
     k3 = rhs(x3, u, p)
-    x4 = k3 * h
-    x4 += x
+    x4 = tuple([a * h + b for a, b in zip(k3, x)])
     k4 = rhs(x4, u, p)
-    # in place to spare allocations; sums (k1 + 2 k2 + 2 k3 + k4) in that order
-    x_next = k2 * 2.0
-    x_next += k1
-    x_next += k3 * 2.0
-    x_next += k4
-    x_next *= h / 6.0
-    x_next += x
+    # sums (k1 + 2 k2 + 2 k3 + k4) in this order, then scales and adds x
+    h6 = h / 6.0
+    x_next = tuple([(((b * 2.0 + a) + c * 2.0) + d) * h6 + e for a, b, c, d, e in zip(k1, k2, k3, k4, x)])
     return x2, x3, x4, x_next
 
 
-def rk4_step(rhs: Rhs, x: np.ndarray, u: np.ndarray, p: np.ndarray, h: float) -> np.ndarray:
+def rk4_step(rhs: Rhs, x: State, u: State, p: np.ndarray, h: float) -> State:
     """One classical RK4 step under a constant input."""
-    x_next = rk4_stages(rhs, x, u, p, h)[3]
-    if not np.all(np.isfinite(x_next)):
+    try:
+        x_next = rk4_stages(rhs, x, u, p, h)[3]
+    except ArithmeticError as err:
+        raise PropagationError("state overflowed in an RK4 step") from err
+    if not all(map(math.isfinite, x_next)):
         raise PropagationError("non-finite state after RK4 step")
     return x_next
 
@@ -100,8 +103,11 @@ def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: 
     the rows before a failing step stay filled; the PropagationError carries
     the index of that step.
     """
+    x = tuple(states[0].tolist())
+    u = tuple(map(float, u))
     for i in range(len(states) - 1):
         try:
-            states[i + 1] = rk4_step(rhs, states[i], u, p, tau)
+            x = rk4_step(rhs, x, u, p, tau)
         except PropagationError:
             raise PropagationError(f"plant propagation diverged at fine step {i}", step=i) from None
+        states[i + 1] = x

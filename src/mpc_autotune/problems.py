@@ -9,7 +9,7 @@ reused verbatim by the tuner so results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,10 @@ def _as_vector(v, n: int, name: str) -> Array:
 class ProblemDefinition:
     """Continuous-time control problem with box bounds and uncertainty ranges.
 
-    rhs(x, u, p) -> dx/dt, stage_cost(x, u, p, q) -> float,
+    rhs(x, u, p) -> dx/dt gets the state x and input u as tuples of floats
+    (p is an array) and may return any length-n_x sequence of floats; a
+    callback that needs arrays calls np.asarray itself.  The other callbacks
+    get arrays: stage_cost(x, u, p, q) -> float,
     terminal_penalty_base(x, p, q) -> float (scaled by rho_f downstream), and
     constraint_map(x, u, p, q) -> length-n_c vector with the convention
     "admissible iff every component <= 0".
@@ -50,7 +53,7 @@ class ProblemDefinition:
     q_max: Array
     p_nom: Array
     p_std: Array
-    rhs: Callable[[Array, Array, Array], Array]
+    rhs: Callable[[tuple, tuple, Array], Sequence[float]]
     constraint_map: Callable[[Array, Array, Array, Array], Array]
     stage_cost: Callable[[Array, Array, Array, Array], float]
     terminal_penalty_base: Callable[[Array, Array, Array], float]
@@ -96,8 +99,9 @@ class ProblemDefinition:
         """d rhs/dx and d rhs/du at (x, u, p)."""
         if self.rhs_jac is not None:
             return self.rhs_jac(x, u, p)
-        A = _fd_jacobian(lambda v: self.rhs(v, u, p), x, self.n_x, self.fd_step)
-        B = _fd_jacobian(lambda v: self.rhs(x, v, p), u, self.n_x, self.fd_step)
+        xt, ut = tuple(x.tolist()), tuple(u.tolist())  # rhs takes tuples, as in the RK4 kernel
+        A = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, p), x, self.n_x, self.fd_step)
+        B = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), p), u, self.n_x, self.fd_step)
         return A, B
 
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
@@ -170,9 +174,6 @@ class ScenarioBatchSet:
     @property
     def nsb(self) -> int:
         return len(self.batches[0])
-
-    def all_scenarios(self) -> list[Scenario]:
-        return [s for batch in self.batches for s in batch]
 
 
 def generate_cloud(problem: ProblemDefinition, n: int, seed: int, duration: float = 0.5) -> list[Scenario]:

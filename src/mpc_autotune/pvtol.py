@@ -41,20 +41,11 @@ def target_state(q: Array) -> Array:
     return np.array([q[0], q[1], 0.0, 0.0, 0.0, 0.0])
 
 
-def pvtol_rhs(x: Array, u: Array, p: Array) -> Array:
+def pvtol_rhs(x: tuple, u: tuple, p: Array) -> tuple[float, ...]:
     s, c = math.sin(x[2]), math.cos(x[2])
-    u1, u2 = float(u[0]), float(u[1])
+    u1, u2 = u
     p1u2 = float(p[0]) * u2
-    return np.array(
-        [
-            float(x[3]),
-            float(x[4]),
-            float(x[5]),
-            -u1 * s + p1u2 * c,
-            u1 * c + p1u2 * s - 1.0,
-            float(p[1]) * u2,
-        ]
-    )
+    return (x[3], x[4], x[5], -u1 * s + p1u2 * c, u1 * c + p1u2 * s - 1.0, float(p[1]) * u2)
 
 
 def pvtol_rhs_jac(x: Array, u: Array, p: Array) -> tuple[Array, Array]:

@@ -14,7 +14,7 @@ import functools
 import math
 import multiprocessing
 import signal
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -320,6 +320,18 @@ def _certify_in_worker(shaping: ShapingVector) -> Outcome:
     return _certify(*_worker_args, shaping)
 
 
+def _in_order_failing_fast(futures: list[Future]):
+    """The futures' results in order; an exception held by any future is
+    raised as soon as it is set, not after the earlier futures finish."""
+    pending = set(futures)
+    for future in futures:
+        while not future.done():
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for finished in done:
+                finished.result()  # raises a failed candidate's exception
+        yield future.result()
+
+
 def tune(
     problem: ProblemDefinition,
     shapings: Sequence[ShapingVector],
@@ -340,7 +352,8 @@ def tune(
     candidate by candidate.  Results are byte-reproducible for any worker
     count: scenario order, cost summation order, and elimination order are
     fixed by candidate and batch indices, never by completion time.  An
-    exception or interrupt cancels the queued candidates and ends the workers.
+    exception in any candidate, or an interrupt, cancels the queued
+    candidates and ends the workers at once.
     """
     if evaluate is None:
         evaluate = functools.partial(evaluate_on_set, problem, bounds=bounds, params=params, timing=timing,
@@ -354,7 +367,7 @@ def tune(
         if jobs > 1 and len(shapings) > 1:
             pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker, initargs=task_args)
-            outcomes = pool.map(_certify_in_worker, shapings)
+            outcomes = _in_order_failing_fast([pool.submit(_certify_in_worker, s) for s in shapings])
         else:
             outcomes = map(functools.partial(_certify, *task_args), shapings)
         for index, (shaping, (search, later)) in enumerate(zip(shapings, outcomes)):

@@ -145,7 +145,7 @@ def test_criterion_2_substep_rule():
 @criterion(3, 1.0)
 def test_criterion_3_integrator_order():
     def decay(x, u, p):
-        return -x
+        return -np.asarray(x)
 
     dummy = np.zeros(1)
     errors = {}

@@ -120,6 +120,26 @@ def test_open_loop_cost_diverged_is_inf():
     assert not np.all(np.isfinite(g))
 
 
+def test_float_overflow_in_rhs_reads_as_divergence():
+    # (1e100)^4 raises OverflowError on Python floats in the first stage
+    overflowing = integrator_problem()
+    overflowing.rhs = lambda x, u, p: (x[0] ** 4 + u[0],)
+    design = DesignVector(kappa=3, mu_d=1.0, n_pred=4, n_contr=1,
+                          rho_f=1.0, rho_constr=1.0, max_iter=5)
+    setting = MpcSetting.from_design(overflowing, design)
+    x0, z = np.array([1.0e100]), np.array([0.5])
+    with np.errstate(over="ignore", invalid="ignore"):
+        J = open_loop_cost(setting, x0, *NO_PQ, z)
+        g = open_loop_gradient(setting, x0, *NO_PQ, z)
+    assert math.isinf(J)
+    assert g.shape == (1,)
+    assert not np.all(np.isfinite(g))
+    result = solve(setting, x0, *NO_PQ, z, COST_TIMING)
+    assert result.diverged
+    # the overflowing updating period is charged whole, like one ending in an inf state
+    assert result.work_units == WORK_PER_RK_STEP * setting.grid.n_steps
+
+
 # gradient -------------------------------------------------------------------------
 
 
@@ -397,3 +417,22 @@ def test_report_json_roundtrip():
 def test_calibrate_c_eval_is_positive_and_small():
     c = calibrate_c_eval(pvtol_problem(), n=2000)
     assert 0.0 < c < 1e-3
+
+
+def test_rhs_gets_tuples_of_floats_everywhere():
+    # the solver, the plant step, the finite-difference Jacobians and the
+    # calibration all call rhs the way the RK4 kernel does
+    def tuple_rhs(x, u, p):
+        if not (type(x) is tuple and type(u) is tuple and all(type(v) is float for v in x + u)):
+            raise TypeError(f"rhs got {type(x).__name__} and {type(u).__name__}")
+        return (u[0],)
+
+    prob = integrator_problem()
+    prob.rhs = tuple_rhs
+    setting = MpcSetting.from_design(prob, toy_setting().design)
+    scenario = Scenario(x0=np.array([0.5]), p=np.zeros(1), q=np.zeros(1), duration=0.3)
+    report = simulate_closed_loop(setting, scenario, COST_TIMING)
+    assert not report.diverged
+    A, B = prob.rhs_jacobians(np.array([0.5]), np.array([0.2]), np.zeros(1))
+    np.testing.assert_allclose(B, [[1.0]])
+    assert calibrate_c_eval(prob, n=10) > 0.0

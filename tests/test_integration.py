@@ -10,8 +10,10 @@ from mpc_autotune import (
     PropagationError,
     hold_input,
     n_steps_for,
+    pvtol_problem,
     rk4_step,
 )
+from mpc_autotune.integration import rk4_stages
 
 NO_P = np.zeros(1)
 
@@ -67,7 +69,7 @@ def test_grid_validation():
 
 
 def decay(x, u, p):
-    return -x
+    return -np.asarray(x)
 
 
 def test_rk4_single_step_matches_hand_expansion():
@@ -83,7 +85,7 @@ def test_rk4_exact_for_constant_derivative():
 
 
 def cubic(x, u, p):
-    return -x ** 3 + u
+    return -np.asarray(x) ** 3 + np.asarray(u)
 
 
 def integrate(n_steps: int, x0: float = 1.0, u: float = 0.3, horizon: float = 1.0) -> float:
@@ -104,6 +106,56 @@ def test_rk4_raises_on_divergence():
     blowup = lambda x, u, p: np.array([math.inf])
     with pytest.raises(PropagationError):
         rk4_step(blowup, np.array([1.0]), np.zeros(1), NO_P, 0.1)
+
+
+def test_rk4_raises_on_float_overflow():
+    # Python floats raise OverflowError on ** where numpy returned inf
+    overflowing = lambda x, u, p: (x[0] ** 4,)
+    with pytest.raises(PropagationError):
+        rk4_step(overflowing, (1.0e100,), (0.0,), NO_P, 0.1)
+
+
+def test_rk4_rejects_rhs_of_wrong_length():
+    too_long = lambda x, u, p: (u[0], 0.0)
+    with pytest.raises(ValueError, match="rhs returned 2 values for a state of length 1"):
+        rk4_step(too_long, (0.5,), (1.0,), NO_P, 0.1)
+
+
+def numpy_rk4_stages(rhs, x, u, p, h):
+    """Reference RK4 on arrays, with the in-place operation order the float
+    kernel must reproduce."""
+    half = 0.5 * h
+    k1 = rhs(x, u, p)
+    x2 = k1 * half
+    x2 += x
+    k2 = rhs(x2, u, p)
+    x3 = k2 * half
+    x3 += x
+    k3 = rhs(x3, u, p)
+    x4 = k3 * h
+    x4 += x
+    k4 = rhs(x4, u, p)
+    x_next = k2 * 2.0
+    x_next += k1
+    x_next += k3 * 2.0
+    x_next += k4
+    x_next *= h / 6.0
+    x_next += x
+    return x2, x3, x4, x_next
+
+
+def test_rk4_stages_match_numpy_reference_bit_for_bit():
+    prob = pvtol_problem()
+    array_rhs = lambda x, u, p: np.array(prob.rhs(tuple(x.tolist()), tuple(u.tolist()), p))
+    rng = np.random.default_rng(8)
+    for _ in range(20_000):
+        x = rng.uniform(-3.0, 3.0, size=6)
+        u = rng.uniform(-50.0, 50.0, size=2)
+        p = prob.p_nom + prob.p_std * rng.standard_normal(2)
+        h = rng.uniform(1.0e-3, 0.2)
+        got = np.array(rk4_stages(prob.rhs, tuple(x.tolist()), tuple(u.tolist()), p, h))
+        want = np.array(numpy_rk4_stages(array_rhs, x, u, p, h))
+        assert got.tobytes() == want.tobytes()
 
 
 # hold_input ---------------------------------------------------------------------

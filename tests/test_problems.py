@@ -69,11 +69,11 @@ def test_pvtol_jacobians_match_finite_differences(pvtol, rng):
         for j in range(6):
             e = np.zeros(6)
             e[j] = h
-            A_fd[:, j] = (pvtol.rhs(x + e, u, p) - pvtol.rhs(x - e, u, p)) / (2 * h)
+            A_fd[:, j] = (np.asarray(pvtol.rhs(x + e, u, p)) - np.asarray(pvtol.rhs(x - e, u, p))) / (2 * h)
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            B_fd[:, j] = (pvtol.rhs(x, u + e, p) - pvtol.rhs(x, u - e, p)) / (2 * h)
+            B_fd[:, j] = (np.asarray(pvtol.rhs(x, u + e, p)) - np.asarray(pvtol.rhs(x, u - e, p))) / (2 * h)
         np.testing.assert_allclose(A, A_fd, atol=1e-8)
         np.testing.assert_allclose(B, B_fd, atol=1e-8)
 
@@ -290,7 +290,7 @@ def test_make_batches_exact_partition(pvtol):
     assert isinstance(batch_set, ScenarioBatchSet)
     assert batch_set.nb == 5
     assert batch_set.nsb == 4
-    flat = batch_set.all_scenarios()
+    flat = [sc for batch in batch_set.batches for sc in batch]
     assert len(flat) == 20
     # order preserved: batch i holds scenarios [i*nsb, (i+1)*nsb)
     for i, sc in enumerate(flat):

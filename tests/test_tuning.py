@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import time
 import warnings
 
 import numpy as np
@@ -450,6 +452,30 @@ def test_tune_derives_trace_and_rejections_per_candidate():
                      (1, 1, 0.0), (1, 1, 1.0),
                      (2, 1, 0.0), (2, 1, 1.0), (2, 2, 2), (2, 2, 3)]
     assert len(sink_calls) == 2 * len(steps)
+
+
+def test_tune_pool_raises_a_failing_candidate_at_once():
+    # candidate 1 fails at once while candidate 0 is still running
+    batch_set, prob = dummy_batches(nb=2, nsb=2)
+    slow, failing = ShapingVector((1, 1, 1, 1, 1, 1, 2)), ShapingVector((1, 1, 1, 1, 1, 1, 3))
+
+    def evaluate(shaping, alpha, scenarios):
+        if shaping == slow:
+            time.sleep(5.0)
+        if shaping == failing:
+            raise RuntimeError("candidate 1 failed")
+        return SetEvaluation(0.0, 0.0, 0.0, 1.0, n_scenarios=len(scenarios))
+
+    before = set(multiprocessing.active_children())
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="candidate 1 failed"):
+        tune(prob, [slow, failing, ANY_SHAPING], batch_set, DesignBounds(), PARAMS,
+             TimingSpec(mode="cost-model", c_eval=1e-6), jobs=2, evaluate=evaluate)
+    assert time.monotonic() - t0 < 2.0
+    deadline = time.monotonic() + 2.0
+    while set(multiprocessing.active_children()) - before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not set(multiprocessing.active_children()) - before
 
 
 # end-to-end evaluate_on_set on the real plant ----------------------------------------
