@@ -46,7 +46,6 @@ from .problems import (
     get_problem,
     make_batches,
     register_problem,
-    registered_problems,
 )
 from .pvtol import pvtol_problem
 from .runner import ConfigError, ResultFileError, RunConfig, run, summarize

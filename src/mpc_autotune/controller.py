@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -72,10 +72,6 @@ class MpcSetting:
         )
         return cls(problem, design, grid)
 
-    @property
-    def n_z(self) -> int:
-        return self.design.n_contr * self.problem.n_u
-
     def z_bounds(self) -> tuple[Array, Array]:
         n = self.design.n_contr
         return np.tile(self.problem.u_min, n), np.tile(self.problem.u_max, n)
@@ -123,20 +119,12 @@ class ClosedLoopReport:
     stopped_at: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "tau_u": self.tau_u,
-            "diverged": self.diverged,
-            "diverged_at": self.diverged_at,
-            "stopped_at": self.stopped_at,
-            "n_solves": self.n_solves,
-            "closed_loop_cost": self.closed_loop_cost,
-            "solver_times": self.solver_times.tolist(),
-            "open_loop_costs": self.open_loop_costs.tolist(),
-            "max_violations": self.max_violations.tolist(),
-            "states": self.states.tolist(),
-            "inputs": self.inputs.tolist(),
-        }
+        """Every field, arrays as nested lists."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return out
 
 
 def budget_excess(t, budget: float):
@@ -214,75 +202,23 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
     return _cost_pass(setting, np.asarray(x, dtype=float), p, q, np.asarray(z, dtype=float))[0]
 
 
-def _rk4_step_sens(
-    prob: ProblemDefinition,
-    rec: Array,
-    u: Array,
-    p: Array,
-    h: float,
-    S: Array,
-    cols: slice,
-    buf: tuple[Array, ...],
-) -> None:
-    """Propagate the sensitivity S = dx/dz through one recorded RK4 step.
-
-    rec holds the (x, x2, x3, x4, x_next) rows of a matching cost pass.  S and
-    the scratch buffers are updated in place.
-    """
-    K1, K2, K3, K4, T = buf
-    half = 0.5 * h
-    x, x2, x3, x4, _ = rec
-
-    A, B = prob.rhs_jacobians(x, u, p)
-    np.matmul(A, S, out=K1)
-    K1[:, cols] += B
-
-    A, B = prob.rhs_jacobians(x2, u, p)
-    np.multiply(K1, half, out=T)
-    T += S
-    np.matmul(A, T, out=K2)
-    K2[:, cols] += B
-
-    A, B = prob.rhs_jacobians(x3, u, p)
-    np.multiply(K2, half, out=T)
-    T += S
-    np.matmul(A, T, out=K3)
-    K3[:, cols] += B
-
-    A, B = prob.rhs_jacobians(x4, u, p)
-    np.multiply(K3, h, out=T)
-    T += S
-    np.matmul(A, T, out=K4)
-    K4[:, cols] += B
-
-    K2 += K3
-    K1 += K4
-    np.multiply(K2, 2.0, out=T)
-    T += K1
-    T *= h / 6.0
-    S += T
-
-
-def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> tuple[Array, int]:
-    """Exact gradient of the objective via forward sensitivities, and the
-    number of RK steps spent.
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> Array:
+    """Exact gradient of the objective via forward sensitivities.
 
     records must come from a finite cost pass at the same state and decision
-    vector; its stage states are reused, read into one array.  The step
-    count still charges the full sensitivity propagation.
+    vector; its stage states are reused, read into one array.  Each record
+    propagates the sensitivity S = dx/dz through one RK4 step.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h = grid.tau_u, grid.tau_p
+    half = 0.5 * h
     n_u = prob.n_u
     blocks = z.reshape(design.n_contr, n_u)
-    n_z = z.size
-    grad = np.zeros(n_z)
-    S = np.zeros((prob.n_x, n_z))
-    buf = tuple(np.empty((prob.n_x, n_z)) for _ in range(5))
+    grad = np.zeros(z.size)
+    S = np.zeros((prob.n_x, z.size))
     assert len(records) == design.n_pred * grid.n_steps
     stage_states = np.array(records, dtype=float)
     rec_iter = iter(stage_states)
-    steps = 0
     xj = stage_states[0, 0]
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
@@ -292,10 +228,20 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
         grad += tau_u * (lx @ S)
         grad[cols] += tau_u * lu
         for _ in range(grid.n_steps):
-            rec = next(rec_iter)
-            _rk4_step_sens(prob, rec, u, p, h, S, cols, buf)
-            xj = rec[4]
-            steps += 1
+            x1, x2, x3, x4, xj = next(rec_iter)
+            A, B = prob.rhs_jacobians(x1, u, p)
+            K1 = A @ S
+            K1[:, cols] += B
+            A, B = prob.rhs_jacobians(x2, u, p)
+            K2 = A @ (K1 * half + S)
+            K2[:, cols] += B
+            A, B = prob.rhs_jacobians(x3, u, p)
+            K3 = A @ (K2 * half + S)
+            K3[:, cols] += B
+            A, B = prob.rhs_jacobians(x4, u, p)
+            K4 = A @ (K3 * h + S)
+            K4[:, cols] += B
+            S += ((K2 + K3) * 2.0 + (K1 + K4)) * (h / 6.0)
         if prob.n_c:
             c = prob.constraint_map(xj, u, p, q)
             active = np.flatnonzero(c > 0.0)
@@ -306,7 +252,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
                     grad += scale * (Cx[i] @ S)
                     grad[cols] += scale * Cu[i]
     grad += design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
-    return grad, steps
+    return grad
 
 
 def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> Array:
@@ -318,35 +264,7 @@ def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Arr
     cost, _, records = _cost_pass(setting, np.asarray(x, dtype=float), p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
-    return _grad_pass(setting, p, q, z, records)[0]
-
-
-def _solve_core(
-    setting: MpcSetting,
-    x: Array,
-    p: Array,
-    q: Array,
-    z0: Array,
-    g_tol: float,
-    over_budget: Callable[[int], bool] | None = None,
-) -> tuple[Array, float, int, int, bool]:
-    """Projected-gradient descent with Armijo backtracking inside the input box.
-
-    Returns (z_best, cost_best, iterations_used, rk_steps, diverged).  The
-    best-ever iterate is returned, so the result never degrades z0.
-    over_budget(rk_steps), when given, is asked between passes; once it
-    holds, the descent returns the best iterate so far.
-    """
-    z_lo, z_hi = setting.z_bounds()
-    z = np.clip(np.asarray(z0, dtype=float), z_lo, z_hi)
-
-    # divergent trial trajectories are expected and handled; keep them quiet
-    err_state = np.errstate(over="ignore", invalid="ignore")
-    err_state.__enter__()
-    try:
-        return _descend(setting, x, p, q, z, z_lo, z_hi, g_tol, over_budget)
-    finally:
-        err_state.__exit__(None, None, None)
+    return _grad_pass(setting, p, q, z, records)
 
 
 def _descend(
@@ -360,6 +278,14 @@ def _descend(
     g_tol: float,
     over_budget: Callable[[int], bool] | None,
 ) -> tuple[Array, float, int, int, bool]:
+    """Projected-gradient descent with Armijo backtracking inside the input box.
+
+    Returns (z_best, cost_best, iterations_used, rk_steps, diverged).  The
+    best-ever iterate is returned, so the result never degrades z, which
+    must lie in the box.  over_budget(rk_steps), when given, is asked
+    between passes; once it holds, the descent returns the best iterate so
+    far.
+    """
     total_steps = 0
 
     cost, steps, records = _cost_pass(setting, x, p, q, z)
@@ -376,8 +302,8 @@ def _descend(
         if over_budget is not None and over_budget(total_steps):
             return best_z, best_cost, iterations, total_steps, False
         # records always describe the trajectory of the current iterate z
-        grad, steps = _grad_pass(setting, p, q, z, records)
-        total_steps += steps
+        grad = _grad_pass(setting, p, q, z, records)
+        total_steps += len(records)
         if not np.all(np.isfinite(grad)):
             break
         projected = z - np.clip(z - grad, z_lo, z_hi)
@@ -425,40 +351,42 @@ def solve(
     g_tol: float = 1.0e-8,
     budget: float | None = None,
 ) -> OpenLoopResult:
-    """Solve one OCP, timing it according to the TimingSpec.
+    """Solve one OCP from the warm start z0, clipped into the input box, and
+    time it according to the TimingSpec.
 
-    Given a real-time budget, a cost-model solve stops between passes as
-    soon as its modelled time is past the budget.  The modelled time only
-    grows with the work, so the solve run to its end would overrun too; the
-    time returned still does, and a solve within the budget is unchanged.
-    The cut falls between whole RK steps, so work_units still counts the
-    stage evaluations made.  A wallclock solve always runs to its end.
+    A wallclock solve runs the descent timing.repeats times, each to its end,
+    and reports the median time.  A cost-model solve runs it once and
+    reports c_eval times its work.  Given a real-time budget, a cost-model
+    solve stops between passes as soon as its modelled time is past the
+    budget.  The modelled time only grows with the work, so the solve run to
+    its end would overrun too; the time returned still does, and a solve
+    within the budget is unchanged.  The cut falls between whole RK steps,
+    so work_units still counts the stage evaluations made.
     """
     x = np.asarray(x, dtype=float)
+    z_lo, z_hi = setting.z_bounds()
+    z = np.clip(np.asarray(z0, dtype=float), z_lo, z_hi)
+    c_eval = timing.c_eval
+    repeats = timing.repeats
+    over_budget = None
     if timing.mode == "cost-model":
-        c_eval = timing.c_eval
         if c_eval is None:
             raise ValueError("cost-model timing requires c_eval")
-        over_budget = None
+        repeats = 1
         if budget is not None:
             def over_budget(rk_steps: int) -> bool:
                 return budget_excess(c_eval * (WORK_PER_RK_STEP * rk_steps), budget) > 0.0
-        z_opt, cost, iters, rk_steps, diverged = _solve_core(setting, x, p, q, z0, g_tol, over_budget)
-        work = WORK_PER_RK_STEP * rk_steps
-        return OpenLoopResult(z_opt, cost, iters, c_eval * work, work, diverged)
 
     times = []
-    first = None
-    for _ in range(timing.repeats):
-        t0 = time.perf_counter()
-        out = _solve_core(setting, x, p, q, z0, g_tol)
-        times.append(time.perf_counter() - t0)
-        if first is None:
-            first = out
-    z_opt, cost, iters, rk_steps, diverged = first
-    return OpenLoopResult(
-        z_opt, cost, iters, statistics.median(times), WORK_PER_RK_STEP * rk_steps, diverged
-    )
+    # divergent trial trajectories are expected and handled; keep them quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(repeats):  # every repeat returns the same result
+            t0 = time.perf_counter()
+            z_opt, cost, iters, rk_steps, diverged = _descend(setting, x, p, q, z, z_lo, z_hi, g_tol, over_budget)
+            times.append(time.perf_counter() - t0)
+    work = WORK_PER_RK_STEP * rk_steps
+    solver_time = c_eval * work if timing.mode == "cost-model" else statistics.median(times)
+    return OpenLoopResult(z_opt, cost, iters, solver_time, work, diverged)
 
 
 def update_count(duration: float, tau_u: float) -> int:

@@ -215,7 +215,3 @@ def get_problem(name: str) -> Callable[[], ProblemDefinition]:
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise KeyError(f"unknown problem {name!r}; registered: {known}") from None
-
-
-def registered_problems() -> list[str]:
-    return sorted(_REGISTRY)

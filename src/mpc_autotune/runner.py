@@ -168,9 +168,6 @@ class RunConfig:
     def to_mapping(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_file(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_mapping(), indent=2, sort_keys=True) + "\n")
-
     def replaced(self, **overrides) -> "RunConfig":
         return dataclasses.replace(self, **{k: _coerce(k, v) for k, v in overrides.items()})
 
@@ -321,7 +318,10 @@ def run(config: RunConfig) -> int:
     """Execute one tuning run and write its artifacts.  Returns the exit code:
     0 when survivors exist, 3 when the survivor set is empty."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err}") from None
 
     logger = logging.getLogger(f"mpc_autotune.run.{id(config)}")
     logger.setLevel(logging.INFO)
@@ -424,9 +424,18 @@ def _read_trace(path: Path) -> dict:
     if not path.is_file():
         raise ResultFileError(f"missing {path}")
     try:
-        return json.loads(path.read_text())
+        trace = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ResultFileError(f"corrupt {path}: {err}") from None
+    if not isinstance(trace, dict):
+        raise ResultFileError(f"corrupt {path}: root is not an object")
+    for key in ("survivors", "elimination_trace"):
+        value = trace.get(key, [])
+        if not (isinstance(value, list) and all(type(v) is int for v in value)):
+            raise ResultFileError(f"corrupt {path}: {key!r} is not a list of integers")
+    if not isinstance(trace.get("best"), (dict, type(None))):
+        raise ResultFileError(f"corrupt {path}: 'best' is not an object")
+    return trace
 
 
 def _float_or_none(text: str, path: Path, row: int, col: str) -> float | None:
@@ -449,6 +458,10 @@ def _read_settings(path: Path) -> list[dict]:
         for i, raw in enumerate(reader, start=2):  # header is line 1
             if None in raw or any(v is None for v in raw.values()):
                 raise ResultFileError(f"{path} row {i}: wrong number of columns")
+            try:
+                index = int(raw["index"])
+            except ValueError:
+                raise ResultFileError(f"{path} row {i}: column 'index' is not an integer: {raw['index']!r}") from None
             status = raw["status"]
             if status not in (SURVIVING, ELIMINATED, INFEASIBLE_AT_A0):
                 raise ResultFileError(f"{path} row {i}: unknown status {status!r}")
@@ -460,7 +473,7 @@ def _read_settings(path: Path) -> list[dict]:
             if n_pred is not None and n_contr is not None and n_contr > n_pred:
                 raise ResultFileError(f"{path} row {i}: n_contr {n_contr} exceeds N_pred {n_pred}")
             cost = _float_or_none(raw["cumulative_cost"], path, i, "cumulative_cost")
-            rows.append({**raw, "_row": i, "_alpha": alpha, "_cost": cost})
+            rows.append({**raw, "_index": index, "_alpha": alpha, "_cost": cost})
     return rows
 
 
@@ -473,7 +486,7 @@ def summarize(in_dir: str | Path, stream=None) -> int:
     rows = _read_settings(in_dir / "settings.csv")
 
     trace_survivors = trace.get("survivors", [])
-    csv_survivors = [int(r["index"]) for r in rows if r["status"] == SURVIVING]
+    csv_survivors = [r["_index"] for r in rows if r["status"] == SURVIVING]
     if sorted(csv_survivors) != sorted(trace_survivors):
         raise ResultFileError("settings.csv and trace.json disagree on the survivor set")
     if csv_survivors != trace_survivors:

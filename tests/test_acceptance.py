@@ -321,6 +321,7 @@ def desk_runs(tmp_path_factory):
     return runs
 
 
+@pytest.mark.slow
 @criterion(8, 930.0)
 def test_criterion_8_desk_scale_experiment(desk_runs):
     solo, pooled = desk_runs["solo"], desk_runs["pooled"]
@@ -391,6 +392,7 @@ def _report_from_dict(d: dict) -> ClosedLoopReport:
     )
 
 
+@pytest.mark.slow
 @criterion(9, 1.0)
 def test_criterion_9_device_speed_monotonicity(desk_runs):
     lines = (desk_runs["pooled"].out / "reports.jsonl").read_text().splitlines()
@@ -405,6 +407,7 @@ def test_criterion_9_device_speed_monotonicity(desk_runs):
 # supplementary: stopping at the first overrun keeps the verdicts -----------------
 
 
+@pytest.mark.slow
 def test_stop_on_rt_keeps_full_walk_verdicts():
     """On batch 1 of the desk cloud, the walk that stops at the first
     real-time overrun gives rt the sign of the full walk, and every
@@ -443,6 +446,7 @@ def test_stop_on_rt_keeps_full_walk_verdicts():
 # supplementary: a run shaped to leave survivors ----------------------------------
 
 
+@pytest.mark.slow
 def test_survivor_replay_on_gentle_envelope():
     """Library-API run on a mild scenario envelope with generous iteration
     budgets, sized so the admissibility replay is exercised non-vacuously:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from mpc_autotune import (
+    ClosedLoopReport,
+    DesignBounds,
     DesignVector,
     MpcSetting,
     Scenario,
@@ -15,13 +17,17 @@ from mpc_autotune import (
     calibrate_c_eval,
     open_loop_cost,
     open_loop_gradient,
+    generate_cloud,
     pvtol_problem,
+    realize,
+    sample_shaping,
     shift_warm_start,
     simulate_closed_loop,
     solve,
     update_count,
 )
 
+from mpc_autotune.controller import _cost_pass
 from conftest import integrator_problem, quadratic_problem
 
 COST_TIMING = TimingSpec(mode="cost-model", c_eval=1.0e-6)
@@ -52,7 +58,7 @@ def test_shift_warm_start_blocks():
 
 def test_setting_dimensions():
     setting = toy_setting()
-    assert setting.n_z == 2
+    assert setting.default_warm_start().size == 2
     lo, hi = setting.z_bounds()
     np.testing.assert_array_equal(lo, [-10.0, -10.0])
     np.testing.assert_array_equal(hi, [10.0, 10.0])
@@ -66,7 +72,7 @@ def test_setting_grid_from_design():
     setting = MpcSetting.from_design(prob, design)
     assert setting.grid.tau_u == pytest.approx(0.05)
     assert setting.grid.n_steps == 3  # ceil(1 + 0.5 * 4)
-    assert setting.n_z == 6
+    assert setting.default_warm_start().size == 6
 
 
 def test_timing_spec_validation():
@@ -176,6 +182,89 @@ def test_gradient_matches_finite_differences_pvtol(rng):
             assert g[j] == pytest.approx(fd, rel=5e-4, abs=1e-6)
 
 
+def inplace_sens_step(prob, rec, u, p, h, S, cols, buf):
+    """Reference sensitivity step through one recorded RK4 step, with the
+    in-place operation order on scratch buffers the gradient pass must
+    reproduce."""
+    K1, K2, K3, K4, T = buf
+    half = 0.5 * h
+    x, x2, x3, x4, _ = rec
+    A, B = prob.rhs_jacobians(x, u, p)
+    np.matmul(A, S, out=K1)
+    K1[:, cols] += B
+    A, B = prob.rhs_jacobians(x2, u, p)
+    np.multiply(K1, half, out=T)
+    T += S
+    np.matmul(A, T, out=K2)
+    K2[:, cols] += B
+    A, B = prob.rhs_jacobians(x3, u, p)
+    np.multiply(K2, half, out=T)
+    T += S
+    np.matmul(A, T, out=K3)
+    K3[:, cols] += B
+    A, B = prob.rhs_jacobians(x4, u, p)
+    np.multiply(K3, h, out=T)
+    T += S
+    np.matmul(A, T, out=K4)
+    K4[:, cols] += B
+    K2 += K3
+    K1 += K4
+    np.multiply(K2, 2.0, out=T)
+    T += K1
+    T *= h / 6.0
+    S += T
+
+
+def reference_gradient(setting, x, p, q, z):
+    """Forward-sensitivity gradient built on inplace_sens_step."""
+    cost, _, records = _cost_pass(setting, x, p, q, z)
+    if not math.isfinite(cost):
+        return np.full(z.size, math.nan)
+    prob, design, grid = setting.problem, setting.design, setting.grid
+    tau_u, n_u = grid.tau_u, prob.n_u
+    blocks = z.reshape(design.n_contr, n_u)
+    grad = np.zeros(z.size)
+    S = np.zeros((prob.n_x, z.size))
+    buf = tuple(np.empty((prob.n_x, z.size)) for _ in range(5))
+    stage_states = iter(np.array(records, dtype=float))
+    xj = x
+    for j in range(design.n_pred):
+        b = block_index(j, design.n_contr)
+        cols = slice(b * n_u, (b + 1) * n_u)
+        u = blocks[b]
+        lx, lu = prob.stage_cost_grads(xj, u, p, q)
+        grad += tau_u * (lx @ S)
+        grad[cols] += tau_u * lu
+        for _ in range(grid.n_steps):
+            rec = next(stage_states)
+            inplace_sens_step(prob, rec, u, p, grid.tau_p, S, cols, buf)
+            xj = rec[4]
+        c = prob.constraint_map(xj, u, p, q)
+        active = np.flatnonzero(c > 0.0)
+        if active.size:
+            Cx, Cu = prob.constraint_jacobians(xj, u, p, q)
+            scale = design.rho_constr * tau_u
+            for i in active:
+                grad += scale * (Cx[i] @ S)
+                grad[cols] += scale * Cu[i]
+    return grad + design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
+
+
+def test_gradient_matches_inplace_reference_bit_for_bit():
+    prob = pvtol_problem()
+    bounds = DesignBounds()
+    rng = np.random.default_rng(9)
+    scenarios = generate_cloud(prob, 50, seed=9, duration=0.5)
+    for n in range(1000):
+        setting = MpcSetting.from_design(prob, realize(sample_shaping(rng), rng.uniform(), bounds))
+        scenario = scenarios[n % len(scenarios)]
+        lo, hi = setting.z_bounds()
+        z = rng.uniform(lo, hi)
+        args = (setting, scenario.x0, scenario.p, scenario.q, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert open_loop_gradient(*args).tobytes() == reference_gradient(*args).tobytes()
+
+
 # solver ---------------------------------------------------------------------------
 
 
@@ -269,6 +358,29 @@ def test_wallclock_time_is_positive_and_repeats_agree():
                 TimingSpec(mode="wallclock", repeats=3))
     np.testing.assert_array_equal(fast.z_opt, rep.z_opt)
     assert rep.cost == fast.cost
+
+
+def count_rhs_calls(timing):
+    prob, setting = pvtol_setting()
+    calls = 0
+    rhs = prob.rhs
+
+    def counting_rhs(x, u, p):
+        nonlocal calls
+        calls += 1
+        return rhs(x, u, p)
+
+    prob.rhs = counting_rhs
+    x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
+    solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), timing)
+    return calls
+
+
+def test_cost_model_runs_once_and_wallclock_runs_each_repeat():
+    once = count_rhs_calls(COST_TIMING)
+    assert once > 0
+    assert count_rhs_calls(TimingSpec("cost-model", c_eval=1.0e-6, repeats=3)) == once
+    assert count_rhs_calls(TimingSpec("wallclock", repeats=3)) == 3 * once
 
 
 # closed loop -----------------------------------------------------------------------
@@ -405,10 +517,17 @@ def test_report_json_roundtrip():
     scenario = Scenario(x0=np.zeros(6), p=prob.p_nom,
                         q=np.array([0.0, 0.0, 1.0, 0.5]), duration=0.1)
     report = simulate_closed_loop(setting, scenario, COST_TIMING)
-    d = report.to_json_dict()
+    d = json.loads(json.dumps(report.to_json_dict()))
     assert d["m"] == report.m
     assert len(d["solver_times"]) == report.m
     assert len(d["states"]) == report.m * setting.design.kappa + 1
+    rebuilt = ClosedLoopReport(**{k: np.array(v) if isinstance(v, list) else v for k, v in d.items()})
+    for name in vars(report):
+        got, want = getattr(rebuilt, name), getattr(report, name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want, name
 
 
 # calibration -----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from mpc_autotune import (
     get_problem,
     make_batches,
     pvtol_problem,
-    registered_problems,
 )
 from mpc_autotune.pvtol import target_state
 
@@ -309,7 +308,6 @@ def test_make_batches_rejects_mismatch(pvtol):
 
 
 def test_registry_contains_pvtol():
-    assert "pvtol" in registered_problems()
     prob = get_problem("pvtol")()
     assert prob.n_x == 6
     assert prob.n_u == 2

@@ -60,7 +60,7 @@ def test_config_defaults_round_trip():
 def test_config_file_round_trip(tmp_path):
     cfg = RunConfig(n_trials=7, gamma=0.9, timing_mode="cost-model", c_eval=2.5e-6)
     path = tmp_path / "config.json"
-    cfg.to_file(path)
+    path.write_text(json.dumps(cfg.to_mapping()))
     assert RunConfig.from_file(path) == cfg
 
 
@@ -374,8 +374,9 @@ def _alive(pid: int) -> bool:
                     reason="needs /proc/<pid>/task/<pid>/children")
 def test_cli_interrupt_ends_a_pooled_run_promptly(tmp_path):
     cfg_path = tmp_path / "config.json"
-    RunConfig(problem="pvtol", n_trials=6, nb=5, nsb=4, duration=0.5, timing_mode="cost-model",
-              c_eval=1e-6, seed=7, jobs=2, out_dir=str(tmp_path / "out")).to_file(cfg_path)
+    cfg = RunConfig(problem="pvtol", n_trials=6, nb=5, nsb=4, duration=0.5, timing_mode="cost-model",
+                    c_eval=1e-6, seed=7, jobs=2, out_dir=str(tmp_path / "out"))
+    cfg_path.write_text(json.dumps(cfg.to_mapping()))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(mpc_autotune.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
@@ -491,6 +492,15 @@ def test_summarize_missing_and_corrupt_files(tmp_path):
     (tmp_path / "trace.json").write_text("{}")
     with pytest.raises(ResultFileError, match="missing"):
         summarize(tmp_path)  # settings.csv still absent
+    for text, match in (
+        ("[]", "root is not an object"),
+        ('{"survivors": null}', "'survivors' is not a list of integers"),
+        ('{"elimination_trace": [1, "2"]}', "'elimination_trace' is not a list of integers"),
+        ('{"best": 3}', "'best' is not an object"),
+    ):
+        (tmp_path / "trace.json").write_text(text)
+        with pytest.raises(ResultFileError, match=match):
+            summarize(tmp_path)
 
 
 def tamper(path: Path, old: str, new: str) -> None:
@@ -529,6 +539,11 @@ def test_summarize_rejects_bad_rows(tmp_path):
     with pytest.raises(ResultFileError, match="row 2: wrong number of columns"):
         summarize(tmp_path)
 
+    write_synthetic_dir(tmp_path)
+    tamper(tmp_path / "settings.csv", "2,surviving", "x,surviving")
+    with pytest.raises(ResultFileError, match="row 2: column 'index' is not an integer"):
+        summarize(tmp_path)
+
 
 def test_summarize_rejects_inconsistent_survivors(tmp_path):
     write_synthetic_dir(tmp_path)
@@ -559,7 +574,7 @@ def test_summarize_rejects_decreasing_trace(tmp_path):
 
 def test_cli_tune_with_config_and_overrides(tmp_path):
     cfg_path = tmp_path / "config.json"
-    RunConfig(**TINY, out_dir="ignored").to_file(cfg_path)
+    cfg_path.write_text(json.dumps(RunConfig(**TINY, out_dir="ignored").to_mapping()))
     out = tmp_path / "cli_out"
     code = main(["tune", "--config", str(cfg_path), "--out", str(out), "--jobs", "1"])
     trace = json.loads((out / "trace.json").read_text())
@@ -574,6 +589,13 @@ def test_cli_tune_errors(tmp_path, capsys):
     assert main(["tune", "--problem", "warp-drive", "--n-trials", "1",
                  "--nb", "1", "--nsb", "1", "--out", str(out)]) == 2
     assert "warp-drive" in capsys.readouterr().err
+
+
+def test_cli_tune_out_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    assert main(["tune", "--n-trials", "1", "--nb", "1", "--nsb", "1", "--out", str(out)]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_finite_numbers(tmp_path, capsys):
@@ -638,7 +660,7 @@ def test_cli_every_tune_flag_reaches_config(tmp_path, monkeypatch):
 
     # a flag left out keeps the config file's value, --dump-reports included
     cfg_path = tmp_path / "config.json"
-    RunConfig(dump_reports=True, nb=9, c_eval=2e-6).to_file(cfg_path)
+    cfg_path.write_text(json.dumps(RunConfig(dump_reports=True, nb=9, c_eval=2e-6).to_mapping()))
     assert main(["tune", "--config", str(cfg_path), "--nsb", "2"]) == 0
     config = seen[-1]
     assert (config.dump_reports, config.nb, config.nsb, config.c_eval) == (True, 9, 2, 2e-6)
