@@ -36,7 +36,12 @@ class ProblemDefinition:
     "admissible iff every component <= 0".
 
     The *_jac / *_grad callbacks are optional analytic derivatives; central
-    finite differences are used where they are absent.
+    finite differences are used where they are absent.  rhs_jac(x, u, p) ->
+    (A, B) gets points stacked on leading axes, x of shape (..., n_x) and u
+    of shape (..., n_u), and returns A of shape (..., n_x, n_x) and B of
+    shape (..., n_x, n_u) with the same leading axes; a single point has
+    none.  The gradient pass gets the Jacobians of all its RK stages from
+    one call.
     """
 
     n_x: int
@@ -96,12 +101,25 @@ class ProblemDefinition:
     # derivative access with finite-difference fallback ---------------------
 
     def rhs_jacobians(self, x: Array, u: Array, p: Array) -> tuple[Array, Array]:
-        """d rhs/dx and d rhs/du at (x, u, p)."""
+        """d rhs/dx and d rhs/du at (x, u, p), for points stacked on the
+        leading axes of x and u as rhs_jac gets them."""
+        lead = x.shape[:-1]
         if self.rhs_jac is not None:
-            return self.rhs_jac(x, u, p)
-        xt, ut = tuple(x.tolist()), tuple(u.tolist())  # rhs takes tuples, as in the RK4 kernel
-        A = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, p), x, self.n_x, self.fd_step)
-        B = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), p), u, self.n_x, self.fd_step)
+            A, B = self.rhs_jac(x, u, p)
+            if np.shape(A) != lead + (self.n_x, self.n_x) or np.shape(B) != lead + (self.n_x, self.n_u):
+                raise ValueError(
+                    f"rhs_jac returned A of shape {np.shape(A)} and B of shape {np.shape(B)} for x of shape "
+                    f"{x.shape}: it must take points stacked on leading axes and return A of shape "
+                    f"(..., n_x, n_x) and B of shape (..., n_x, n_u) with the same leading axes"
+                )
+            return A, B
+        A = np.empty(lead + (self.n_x, self.n_x))
+        B = np.empty(lead + (self.n_x, self.n_u))
+        for i in np.ndindex(lead):
+            xi, ui = x[i], u[i]
+            xt, ut = tuple(xi.tolist()), tuple(ui.tolist())  # rhs takes tuples, as in the RK4 kernel
+            A[i] = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, p), xi, self.n_x, self.fd_step)
+            B[i] = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), p), ui, self.n_x, self.fd_step)
         return A, B
 
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:

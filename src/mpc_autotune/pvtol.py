@@ -33,7 +33,6 @@ _2Q_DIAG = 2.0 * Q_DIAG
 _2R_DIAG = 2.0 * R_DIAG
 _A_CONST = np.zeros((6, 6))
 _A_CONST[0, 3] = _A_CONST[1, 4] = _A_CONST[2, 5] = 1.0
-_B_CONST = np.zeros((6, 2))
 
 
 def target_state(q: Array) -> Array:
@@ -49,19 +48,22 @@ def pvtol_rhs(x: tuple, u: tuple, p: Array) -> tuple[float, ...]:
 
 
 def pvtol_rhs_jac(x: Array, u: Array, p: Array) -> tuple[Array, Array]:
-    s, c = math.sin(x[2]), math.cos(x[2])
-    u1 = float(u[0])
+    # x (..., 6) and u (..., 2) stack points on their leading axes
+    s, c = np.sin(x[..., 2]), np.cos(x[..., 2])
+    u1 = u[..., 0]
     p1 = float(p[0])
-    p1u2 = p1 * float(u[1])
-    A = _A_CONST.copy()
-    A[3, 2] = -u1 * c - p1u2 * s
-    A[4, 2] = -u1 * s + p1u2 * c
-    B = _B_CONST.copy()
-    B[3, 0] = -s
-    B[3, 1] = p1 * c
-    B[4, 0] = c
-    B[4, 1] = p1 * s
-    B[5, 1] = p[1]
+    p1u2 = p1 * u[..., 1]
+    lead = x.shape[:-1]
+    A = np.empty(lead + (6, 6))
+    A[...] = _A_CONST
+    A[..., 3, 2] = -u1 * c - p1u2 * s
+    A[..., 4, 2] = -u1 * s + p1u2 * c
+    B = np.zeros(lead + (6, 2))
+    B[..., 3, 0] = -s
+    B[..., 3, 1] = p1 * c
+    B[..., 4, 0] = c
+    B[..., 4, 1] = p1 * s
+    B[..., 5, 1] = p[1]
     return A, B
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .controller import TimingSpec, calibrate_c_eval, update_count
 from .design import DesignBounds, sample_shaping
-from .problems import generate_cloud, get_problem, make_batches
+from .problems import ProblemDefinition, generate_cloud, get_problem, make_batches
 from .tuning import (
     ELIMINATED,
     INFEASIBLE_AT_A0,
@@ -314,6 +314,22 @@ def coverage_note(nb: int, nsb: int, n_trials: int) -> list[str]:
     return lines
 
 
+def _check_rhs_jac(problem: ProblemDefinition, name: str) -> None:
+    """Call rhs_jac once on two stacked points, so that a callback written
+    for single points stops the run with a ConfigError before any tuning."""
+    if problem.rhs_jac is None:
+        return
+    x = np.stack([problem.x_min, problem.x_max])
+    u = np.stack([problem.u_min, problem.u_max])
+    try:
+        problem.rhs_jacobians(x, u, problem.p_nom)
+    except (IndexError, TypeError, ValueError) as err:  # how a callback indexing single points fails
+        raise ConfigError(
+            f"problem {name!r}: rhs_jac fails on two stacked points ({type(err).__name__}: {err}); "
+            f"it must take x of shape (..., n_x) and u of shape (..., n_u)"
+        ) from None
+
+
 def run(config: RunConfig) -> int:
     """Execute one tuning run and write its artifacts.  Returns the exit code:
     0 when survivors exist, 3 when the survivor set is empty."""
@@ -339,6 +355,7 @@ def run(config: RunConfig) -> int:
             problem = get_problem(config.problem)()
         except KeyError as err:
             raise ConfigError(str(err)) from None
+        _check_rhs_jac(problem, config.problem)
         if config.gamma < 1.0 and update_count(config.duration, config.kappa_min * problem.tau) == 1:
             raise ConfigError(
                 f"duration {config.duration} allows one controller update even at kappa_min = {config.kappa_min}: "
@@ -397,7 +414,8 @@ def run(config: RunConfig) -> int:
             )
 
         write_settings_csv(out / "settings.csv", result, problem.tau)
-        write_trace_json(out / "trace.json", result, config, seeds)
+        # echo the c_eval used, calibrated or given, so the trace's config replays the run
+        write_trace_json(out / "trace.json", result, dataclasses.replace(config, c_eval=c_eval), seeds)
 
         elapsed = time.perf_counter() - t_start
         logger.info(

@@ -62,6 +62,26 @@ def quadratic_problem(u_span: float = 10.0) -> ProblemDefinition:
     )
 
 
+def point_pvtol_rhs_jac(x, u, p):
+    """PVTOL's Jacobians at one point, written with math.sin and math.cos: a
+    callback that indexes x[2] and so cannot take stacked points."""
+    s, c = math.sin(x[2]), math.cos(x[2])
+    u1 = float(u[0])
+    p1 = float(p[0])
+    p1u2 = p1 * float(u[1])
+    A = np.zeros((6, 6))
+    A[0, 3] = A[1, 4] = A[2, 5] = 1.0
+    A[3, 2] = -u1 * c - p1u2 * s
+    A[4, 2] = -u1 * s + p1u2 * c
+    B = np.zeros((6, 2))
+    B[3, 0] = -s
+    B[3, 1] = p1 * c
+    B[4, 0] = c
+    B[4, 1] = p1 * s
+    B[5, 1] = p[1]
+    return A, B
+
+
 def stub_report(
     solver_times,
     open_loop_costs=None,

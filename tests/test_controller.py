@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -250,12 +251,15 @@ def reference_gradient(setting, x, p, q, z):
     return grad + design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
 
 
-def test_gradient_matches_inplace_reference_bit_for_bit():
-    prob = pvtol_problem()
+@pytest.mark.parametrize(
+    "rhs_jac, draws", [(pvtol_problem().rhs_jac, 1000), (None, 100)], ids=["analytic", "finite-difference"]
+)
+def test_gradient_matches_inplace_reference_bit_for_bit(rhs_jac, draws):
+    prob = dataclasses.replace(pvtol_problem(), rhs_jac=rhs_jac)
     bounds = DesignBounds()
     rng = np.random.default_rng(9)
     scenarios = generate_cloud(prob, 50, seed=9, duration=0.5)
-    for n in range(1000):
+    for n in range(draws):
         setting = MpcSetting.from_design(prob, realize(sample_shaping(rng), rng.uniform(), bounds))
         scenario = scenarios[n % len(scenarios)]
         lo, hi = setting.z_bounds()
@@ -263,6 +267,25 @@ def test_gradient_matches_inplace_reference_bit_for_bit():
         args = (setting, scenario.x0, scenario.p, scenario.q, z)
         with np.errstate(over="ignore", invalid="ignore"):
             assert open_loop_gradient(*args).tobytes() == reference_gradient(*args).tobytes()
+
+
+
+def test_one_rhs_jac_call_per_gradient_pass():
+    calls = []
+    pvtol = pvtol_problem()
+
+    def counting_rhs_jac(x, u, p):
+        calls.append((x.shape, u.shape))
+        return pvtol.rhs_jac(x, u, p)
+
+    prob = dataclasses.replace(pvtol, rhs_jac=counting_rhs_jac)
+    design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
+    setting = MpcSetting.from_design(prob, design)
+    scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
+    open_loop_gradient(setting, scenario.x0, scenario.p, scenario.q, setting.default_warm_start())
+    n_points = 4 * design.n_pred * setting.grid.n_steps
+    assert setting.grid.n_steps > 1
+    assert calls == [((n_points, 6), (n_points, 2))]
 
 
 # solver ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from mpc_autotune import (
     pvtol_problem,
 )
 from mpc_autotune.pvtol import target_state
+
+from conftest import point_pvtol_rhs_jac
 
 Q_ZERO = np.array([0.0, 0.0, 1.0, 0.5])
 
@@ -197,6 +200,51 @@ def test_fd_fallback_matches_analytic(pvtol, rng):
     Cx_ref, Cu_ref = bare.constraint_jacobians(x, u, bare.p_nom, q)
     np.testing.assert_allclose(Cx, Cx_ref, atol=1e-6)
     np.testing.assert_allclose(Cu, Cu_ref, atol=1e-6)
+
+
+def test_stacked_pvtol_jacobians_equal_the_point_formula_bit_for_bit(pvtol):
+    rng = np.random.default_rng(11)
+    for scale in (4.0, 1000.0):  # angles within and far beyond +-pi
+        for _ in range(2):
+            x = rng.uniform(-1.0, 1.0, size=(5000, 6))
+            x[:, 2] = rng.uniform(-scale, scale, size=5000)
+            u = rng.uniform(pvtol.u_min, pvtol.u_max, size=(5000, 2))
+            p = pvtol.p_nom + rng.normal(scale=pvtol.p_std)
+            A, B = pvtol.rhs_jacobians(x, u, p)
+            points = [point_pvtol_rhs_jac(xi, ui, p) for xi, ui in zip(x, u)]
+            assert A.tobytes() == np.stack([a for a, _ in points]).tobytes()
+            assert B.tobytes() == np.stack([b for _, b in points]).tobytes()
+
+
+def test_pvtol_jacobians_keep_the_leading_axes(pvtol):
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, size=(3, 4, 6))
+    u = rng.uniform(-5.0, 5.0, size=(3, 4, 2))
+    A, B = pvtol.rhs_jacobians(x, u, pvtol.p_nom)
+    assert A.shape == (3, 4, 6, 6) and B.shape == (3, 4, 6, 2)
+    a, b = pvtol.rhs_jacobians(x[2, 1], u[2, 1], pvtol.p_nom)  # one point: no leading axes
+    assert a.shape == (6, 6) and b.shape == (6, 2)
+    assert a.tobytes() == A[2, 1].tobytes() and b.tobytes() == B[2, 1].tobytes()
+
+
+def test_fd_fallback_loops_over_stacked_points(rng):
+    stripped = dataclasses.replace(pvtol_problem(), rhs_jac=None)
+    x = rng.uniform(-0.5, 0.5, size=(2, 3, 6))
+    u = rng.uniform(-3.0, 3.0, size=(2, 3, 2))
+    A, B = stripped.rhs_jacobians(x, u, stripped.p_nom)
+    assert A.shape == (2, 3, 6, 6) and B.shape == (2, 3, 6, 2)
+    for i in np.ndindex(2, 3):
+        a, b = stripped.rhs_jacobians(x[i], u[i], stripped.p_nom)
+        assert a.tobytes() == A[i].tobytes() and b.tobytes() == B[i].tobytes()
+
+
+def test_rhs_jac_of_the_wrong_shape_names_the_stacked_contract():
+    one_point = dataclasses.replace(
+        pvtol_problem(), rhs_jac=lambda x, u, p: point_pvtol_rhs_jac(x[0], u[0], p)
+    )
+    x, u = np.zeros((2, 6)), np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"points stacked on leading axes.*\(\.\.\., n_x, n_x\)"):
+        one_point.rhs_jacobians(x, u, one_point.p_nom)
 
 
 # problem validation ---------------------------------------------------------------

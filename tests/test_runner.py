@@ -1,6 +1,7 @@
 """Run orchestration: config handling, artifact writers, summarize, CLI."""
 
 import csv
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -19,6 +20,7 @@ import mpc_autotune
 import mpc_autotune.problems
 from mpc_autotune.cli import main
 from mpc_autotune.design import DesignVector, ShapingVector
+from mpc_autotune.pvtol import pvtol_problem
 from mpc_autotune.runner import (
     NOTE_DELTA,
     NOTE_ETA,
@@ -45,7 +47,7 @@ from mpc_autotune.tuning import (
     required_scenarios,
 )
 
-from conftest import integrator_problem
+from conftest import integrator_problem, point_pvtol_rhs_jac
 
 
 # RunConfig ---------------------------------------------------------------------------
@@ -428,6 +430,32 @@ def test_run_calibrates_c_eval(tmp_path):
                     timing_mode="cost-model", c_eval=None, seed=1, out_dir=str(out))
     run(cfg)
     assert "calibrated c_eval" in (out / "run.log").read_text()
+
+
+def test_calibrated_run_replays_from_its_trace(tmp_path):
+    first = tmp_path / "calibrated"
+    run(RunConfig(**{**TINY, "c_eval": None}, out_dir=str(first)))
+    echo = json.loads((first / "trace.json").read_text())["config"]
+    assert echo["c_eval"] > 0.0  # the calibrated value, not null
+    replay = tmp_path / "replay"
+    run(RunConfig.from_mapping({**echo, "out_dir": str(replay)}))
+    assert "calibrated c_eval" not in (replay / "run.log").read_text()
+    for name in ("settings.csv", "trace.json"):
+        assert (replay / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_cli_rejects_a_point_only_rhs_jac(tmp_path, capsys, monkeypatch):
+    def point_jac_problem():
+        return dataclasses.replace(pvtol_problem(), rhs_jac=point_pvtol_rhs_jac, name="pvtol-point-jac")
+
+    monkeypatch.setitem(mpc_autotune.problems._REGISTRY, "pvtol-point-jac", point_jac_problem)
+    out = tmp_path / "out"
+    assert main(["tune", "--problem", "pvtol-point-jac", "--n-trials", "1", "--nb", "1", "--nsb", "1",
+                 "--timing-mode", "cost-model", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("error: problem 'pvtol-point-jac': rhs_jac fails on two stacked points (IndexError:")
+    assert "(..., n_x)" in err
+    assert not (out / "trace.json").exists()
 
 
 def test_run_unknown_problem(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import multiprocessing
 import time
@@ -5,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpc_autotune import (
@@ -23,6 +25,7 @@ from mpc_autotune import (
     pvtol_problem,
     required_scenarios,
     rt_excess,
+    sample_shaping,
     tune,
 )
 from mpc_autotune.tuning import (
@@ -496,6 +499,55 @@ def test_evaluate_on_set_real_plant_aggregates():
         max(rt_excess(r, ev.reports[0].tau_u, PARAMS.dev_acc) for r in ev.reports)
     )
     assert ev.constraint == pytest.approx(max(constraint_excess(r) for r in ev.reports))
+
+
+# the early stops against the full walk ----------------------------------------------
+
+# initial angles drawn past the |theta| <= 0.3 limit, so that constraint
+# failures occur beside the rt and contraction ones
+DIFF_PROBLEM = pvtol_problem(
+    q4=0.3, x_sample_min=(-1.0, -1.0, -0.5, -1.0, -1.0, -1.0), x_sample_max=(1.0, 1.0, 0.5, 1.0, 1.0, 1.0)
+)
+DIFF_BOUNDS = DesignBounds(kappa=(1, 3), n_pred=(3, 6), n_contr=(1, 2), max_iter=(3, 6))
+
+
+@pytest.mark.slow
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    log10_c_eval=st.floats(min_value=-7.0, max_value=-4.5),
+    dev_acc=st.floats(min_value=0.3, max_value=3.0),
+    gamma=st.floats(min_value=0.95, max_value=1.0),
+    c_max=st.floats(min_value=0.0, max_value=0.1),
+)
+# the slowest solve at alpha = 0 takes exactly the budget: a real-time pass
+@example(seed=0, log10_c_eval=-4.5, dev_acc=0.3288768766575115, gamma=1.0, c_max=0.1)
+def test_early_stops_keep_every_verdict(seed, log10_c_eval, dev_acc, gamma, c_max):
+    """The default evaluator stops at the first real-time overrun: the
+    scenario walk, the closed loop and the cost-model solve.  Against the
+    full walk on tiny PVTOL configs, only the scenarios walked on an rt
+    failure and the solve count may be lower; and the stopped run gives
+    the same result at jobs 1 and 2."""
+    rng = np.random.default_rng(seed)
+    shapings = [sample_shaping(rng, 3) for _ in range(3)]
+    batch_set = make_batches(generate_cloud(DIFF_PROBLEM, 4, seed, duration=0.15), 2, 2)
+    params = CertificationParams(gamma=gamma, eps=0.25, dev_acc=dev_acc, c_max=c_max)
+    timing = TimingSpec("cost-model", c_eval=10.0**log10_c_eval)
+    args = (DIFF_PROBLEM, shapings, batch_set, DIFF_BOUNDS, params, timing)
+    stopped = tune(*args)
+    full = tune(*args, evaluate=functools.partial(
+        evaluate_on_set, DIFF_PROBLEM, bounds=DIFF_BOUNDS, params=params, timing=timing))
+
+    assert stopped.ocp_solve_count <= full.ocp_solve_count
+    assert dataclasses.replace(stopped, records=[], ocp_solve_count=0) == dataclasses.replace(
+        full, records=[], ocp_solve_count=0)  # survivors, best_index and the rest
+    for got, want in zip(stopped.records, full.records, strict=True):
+        if got.eliminated_criterion in (RT, RT_AT_ZERO):
+            assert got.scenarios_evaluated <= want.scenarios_evaluated
+        else:
+            assert got.scenarios_evaluated == want.scenarios_evaluated
+        assert dataclasses.replace(got, scenarios_evaluated=0) == dataclasses.replace(want, scenarios_evaluated=0)
+    assert tune(*args, jobs=2) == stopped
 
 
 # scenario-count certificate ----------------------------------------------------------
