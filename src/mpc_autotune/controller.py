@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignVector
-from .integration import PredictionGrid, PropagationError, hold_input, n_steps_for, rk4_stages
+from .integration import PredictionGrid, PropagationError, hold_input, n_steps_for, rk4_kernel
 from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
@@ -162,7 +162,8 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     period through the accumulated cost (any non-finite state poisons the
     stage cost or the penalty), which keeps the per-substep loop lean.  The
     state is carried as a tuple of floats between RK steps and becomes an
-    array once per updating period, for the other callbacks.  The record
+    array once per updating period, for the other callbacks; rhs gets p as
+    a tuple of floats too, converted once per pass.  The record
     holds the tuples (x, x2, x3, x4, x_next) of every substep, for reuse by
     a gradient pass over the same decision vector.
     """
@@ -175,13 +176,15 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     cost = 0.0
     steps = 0
     xt = tuple(x.tolist())
+    pt = tuple(map(float, p))
+    kernel = rk4_kernel(len(xt))
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
         u, ut = blocks[b], u_tuples[b]
         cost += prob.stage_cost(x, u, p, q) * tau_u
         try:
             for _ in range(n_steps):
-                stages = rk4_stages(rhs, xt, ut, p, h)
+                stages = kernel(rhs, xt, ut, pt, h)
                 record.append((xt, *stages))
                 xt = stages[3]
         except ArithmeticError:  # a float overflow in rhs: the period diverged and is charged whole
@@ -216,7 +219,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h = grid.tau_u, grid.tau_p
-    half = 0.5 * h
+    half, h6 = 0.5 * h, h / 6.0
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
     blocks = z.reshape(design.n_contr, n_u)
     grad = np.zeros(n_z)
@@ -243,15 +246,15 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list)
         grad[cols] += tau_u * lu
         for _ in range(grid.n_steps):
             (A1, A2, A3, A4), (B1, B2, B3, B4) = next(step_jacobians)
-            K1 = A1 @ S
+            K1 = A1.dot(S)
             K1 += B1
-            K2 = A2 @ (K1 * half + S)
+            K2 = A2.dot(K1 * half + S)
             K2 += B2
-            K3 = A3 @ (K2 * half + S)
+            K3 = A3.dot(K2 * half + S)
             K3 += B3
-            K4 = A4 @ (K3 * h + S)
+            K4 = A4.dot(K3 * h + S)
             K4 += B4
-            S += ((K2 + K3) * 2.0 + (K1 + K4)) * (h / 6.0)
+            S += ((K2 + K3) * 2.0 + (K1 + K4)) * h6
         xj = period_ends[j]
         if prob.n_c:
             c = prob.constraint_map(xj, u, p, q)
@@ -483,10 +486,10 @@ def simulate_closed_loop(
 
 def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:
     """Seconds per RK stage evaluation, measured by timing rhs calls made as
-    the RK4 kernel makes them, on tuples of floats."""
+    the RK4 kernel makes them, with x, u and p as tuples of floats."""
     x = tuple((0.5 * (problem.x_min + problem.x_max)).tolist())
     u = tuple((problem.u_trim if problem.u_trim is not None else 0.5 * (problem.u_min + problem.u_max)).tolist())
-    p = problem.p_nom
+    p = tuple(problem.p_nom.tolist())
     problem.rhs(x, u, p)  # warm any lazy setup before timing
     t0 = time.perf_counter()
     for _ in range(n):

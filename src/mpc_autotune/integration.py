@@ -4,10 +4,15 @@ Two grids coexist: the plant always advances at the sampling period tau
 (the fine grid), while the controller predicts at the updating period
 tau_u = kappa * tau, internally subdivided into n_steps RK4 substeps chosen
 from the prediction-precision fraction mu_d.
+
+Both grids step with one kernel, rk4_kernel, on tuples of Python floats:
+rhs(x, u, p) gets the state, the input and the parameters as tuples of
+floats and may return any length-n sequence of floats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -15,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 State = tuple[float, ...]
-Rhs = Callable[[State, State, np.ndarray], Sequence[float]]
+Rhs = Callable[[State, State, State], Sequence[float]]
 
 
 class PropagationError(RuntimeError):
@@ -59,33 +64,57 @@ class PredictionGrid:
         return self.tau_u / self.n_steps
 
 
-def rk4_stages(rhs: Rhs, x: State, u: State, p: np.ndarray, h: float) -> tuple[State, State, State, State]:
-    """One classical RK4 step under a constant input, without a finiteness check.
+@functools.lru_cache(maxsize=None)
+def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[State, State, State, State]]:
+    """The RK4 step for states of length n, every component written out.
 
-    x and u are tuples of Python floats, and rhs is called on tuples; the
-    step runs on floats, which spares numpy's per-call cost on short vectors.
-    Returns the stage states and the result, (x2, x3, x4, x_next), as tuples,
-    so that a sensitivity pass can reuse them instead of re-evaluating the
-    dynamics.  A float overflow may raise an ArithmeticError (** raises
-    OverflowError) instead of giving inf; callers read it as divergence.
+    kernel(rhs, x, u, p, h) returns the stage states and the result,
+    (x2, x3, x4, x_next), as tuples, so that a sensitivity pass can reuse
+    them instead of re-evaluating the dynamics.  Component i reads
+    k1[i] * half + x[i] in x2, k2[i] * half + x[i] in x3, k3[i] * h + x[i]
+    in x4 and (((k2[i] * 2.0 + k1[i]) + k3[i] * 2.0) + k4[i]) * (h / 6.0)
+    + x[i] in x_next.  Written out, a step makes no comprehension frames,
+    most of the cost of a loop over a short state.  The source is built
+    from the integer n alone, once per state length.
     """
+
+    def names(letter: str) -> str:  # a, b, c, d: components of k1..k4; e: of x
+        return "".join(f"{letter}{i}, " for i in range(n))
+
+    def pack(term: str) -> str:
+        return "(" + "".join(term.format(i=i) + ", " for i in range(n)) + ")"
+
+    source = f"""def rk4_kernel_{n}(rhs, x, u, p, h):
     half = 0.5 * h
     k1 = rhs(x, u, p)
-    if len(k1) != len(x):  # zip below would truncate silently
-        raise ValueError(f"rhs returned {len(k1)} values for a state of length {len(x)}")
-    x2 = tuple([a * half + b for a, b in zip(k1, x)])
-    k2 = rhs(x2, u, p)
-    x3 = tuple([a * half + b for a, b in zip(k2, x)])
-    k3 = rhs(x3, u, p)
-    x4 = tuple([a * h + b for a, b in zip(k3, x)])
-    k4 = rhs(x4, u, p)
-    # sums (k1 + 2 k2 + 2 k3 + k4) in this order, then scales and adds x
+    if len(k1) != {n}:  # unpacking would fail with a bare message
+        raise ValueError(f"rhs returned {{len(k1)}} values for a state of length {n}")
+    {names("e")}= x
+    {names("a")}= k1
+    x2 = {pack("a{i} * half + e{i}")}
+    {names("b")}= rhs(x2, u, p)
+    x3 = {pack("b{i} * half + e{i}")}
+    {names("c")}= rhs(x3, u, p)
+    x4 = {pack("c{i} * h + e{i}")}
+    {names("d")}= rhs(x4, u, p)
     h6 = h / 6.0
-    x_next = tuple([(((b * 2.0 + a) + c * 2.0) + d) * h6 + e for a, b, c, d, e in zip(k1, k2, k3, k4, x)])
-    return x2, x3, x4, x_next
+    return x2, x3, x4, {pack("(((b{i} * 2.0 + a{i}) + c{i} * 2.0) + d{i}) * h6 + e{i}")}
+"""
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace[f"rk4_kernel_{n}"]
 
 
-def rk4_step(rhs: Rhs, x: State, u: State, p: np.ndarray, h: float) -> State:
+def rk4_stages(rhs: Rhs, x: State, u: State, p: State, h: float) -> tuple[State, State, State, State]:
+    """One classical RK4 step under a constant input, without a finiteness
+    check: rk4_kernel(len(x)) applied once.  A float overflow may raise an
+    ArithmeticError (** raises OverflowError) instead of giving inf; callers
+    read it as divergence.
+    """
+    return rk4_kernel(len(x))(rhs, x, u, p, h)
+
+
+def rk4_step(rhs: Rhs, x: State, u: State, p: State, h: float) -> State:
     """One classical RK4 step under a constant input."""
     try:
         x_next = rk4_stages(rhs, x, u, p, h)[3]
@@ -99,12 +128,14 @@ def rk4_step(rhs: Rhs, x: State, u: State, p: np.ndarray, h: float) -> State:
 def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: float) -> None:
     """Advance the plant from states[0] at the sampling period tau, holding u.
 
+    The state, u and p reach rhs as tuples of floats, as in the RK4 kernel.
     Row i + 1 of states receives the state after fine step i, in place, so
     the rows before a failing step stay filled; the PropagationError carries
     the index of that step.
     """
     x = tuple(states[0].tolist())
     u = tuple(map(float, u))
+    p = tuple(map(float, p))
     for i in range(len(states) - 1):
         try:
             x = rk4_step(rhs, x, u, p, tau)

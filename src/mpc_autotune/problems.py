@@ -27,10 +27,10 @@ def _as_vector(v, n: int, name: str) -> Array:
 class ProblemDefinition:
     """Continuous-time control problem with box bounds and uncertainty ranges.
 
-    rhs(x, u, p) -> dx/dt gets the state x and input u as tuples of floats
-    (p is an array) and may return any length-n_x sequence of floats; a
-    callback that needs arrays calls np.asarray itself.  The other callbacks
-    get arrays: stage_cost(x, u, p, q) -> float,
+    rhs(x, u, p) -> dx/dt gets the state x, the input u and the parameters
+    p as tuples of floats and may return any length-n_x sequence of floats;
+    a callback that needs arrays calls np.asarray itself.  The other
+    callbacks, rhs_jac included, get arrays: stage_cost(x, u, p, q) -> float,
     terminal_penalty_base(x, p, q) -> float (scaled by rho_f downstream), and
     constraint_map(x, u, p, q) -> length-n_c vector with the convention
     "admissible iff every component <= 0".
@@ -58,7 +58,7 @@ class ProblemDefinition:
     q_max: Array
     p_nom: Array
     p_std: Array
-    rhs: Callable[[tuple, tuple, Array], Sequence[float]]
+    rhs: Callable[[tuple, tuple, tuple], Sequence[float]]
     constraint_map: Callable[[Array, Array, Array, Array], Array]
     stage_cost: Callable[[Array, Array, Array, Array], float]
     terminal_penalty_base: Callable[[Array, Array, Array], float]
@@ -115,11 +115,12 @@ class ProblemDefinition:
             return A, B
         A = np.empty(lead + (self.n_x, self.n_x))
         B = np.empty(lead + (self.n_x, self.n_u))
+        pt = tuple(map(float, p))  # rhs takes tuples, as in the RK4 kernel
         for i in np.ndindex(lead):
             xi, ui = x[i], u[i]
-            xt, ut = tuple(xi.tolist()), tuple(ui.tolist())  # rhs takes tuples, as in the RK4 kernel
-            A[i] = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, p), xi, self.n_x, self.fd_step)
-            B[i] = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), p), ui, self.n_x, self.fd_step)
+            xt, ut = tuple(xi.tolist()), tuple(ui.tolist())
+            A[i] = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, pt), xi, self.n_x, self.fd_step)
+            B[i] = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), pt), ui, self.n_x, self.fd_step)
         return A, B
 
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:

@@ -40,11 +40,12 @@ def target_state(q: Array) -> Array:
     return np.array([q[0], q[1], 0.0, 0.0, 0.0, 0.0])
 
 
-def pvtol_rhs(x: tuple, u: tuple, p: Array) -> tuple[float, ...]:
+def pvtol_rhs(x: tuple, u: tuple, p: tuple) -> tuple[float, ...]:
     s, c = math.sin(x[2]), math.cos(x[2])
     u1, u2 = u
-    p1u2 = float(p[0]) * u2
-    return (x[3], x[4], x[5], -u1 * s + p1u2 * c, u1 * c + p1u2 * s - 1.0, float(p[1]) * u2)
+    p1, p2 = p
+    p1u2 = p1 * u2
+    return (x[3], x[4], x[5], -u1 * s + p1u2 * c, u1 * c + p1u2 * s - 1.0, p2 * u2)
 
 
 def pvtol_rhs_jac(x: Array, u: Array, p: Array) -> tuple[Array, Array]:
@@ -68,11 +69,12 @@ def pvtol_rhs_jac(x: Array, u: Array, p: Array) -> tuple[Array, Array]:
 
 
 def pvtol_stage_cost(x: Array, u: Array, p: Array, q: Array) -> float:
-    d0 = float(x[0]) - float(q[0])
-    d1 = float(x[1]) - float(q[1])
-    d2, d3, d4, d5 = float(x[2]), float(x[3]), float(x[4]), float(x[5])
-    e0 = float(u[0]) - 1.0
-    e1 = float(u[1])
+    x0, x1, d2, d3, d4, d5 = x.tolist()
+    u0, e1 = u.tolist()
+    q0, q1, _, _ = q.tolist()
+    d0 = x0 - q0
+    d1 = x1 - q1
+    e0 = u0 - 1.0
     return (
         _Q0 * d0 * d0 + _Q1 * d1 * d1 + _Q2 * d2 * d2
         + _Q3 * d3 * d3 + _Q4 * d4 * d4 + _Q5 * d5 * d5
@@ -105,7 +107,9 @@ def pvtol_terminal_grad(x: Array, p: Array, q: Array) -> Array:
 
 def pvtol_constraints(x: Array, u: Array, p: Array, q: Array) -> Array:
     # |theta_dot| <= q3 and |theta| <= q4, written as c_i <= 0
-    return np.array([x[5] - q[2], -x[5] - q[2], x[2] - q[3], -x[2] - q[3]])
+    _, _, theta, _, _, theta_dot = x.tolist()
+    _, _, q3, q4 = q.tolist()
+    return np.array([theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4])
 
 
 _CX_CONST = np.zeros((4, 6))

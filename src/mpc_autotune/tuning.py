@@ -22,6 +22,7 @@ import numpy as np
 
 from .controller import ClosedLoopReport, MpcSetting, TimingSpec, budget_excess, simulate_closed_loop
 from .design import DesignBounds, DesignVector, ShapingVector, realize
+from .integration import rk4_kernel
 from .problems import ProblemDefinition, Scenario, ScenarioBatchSet
 
 # record status values
@@ -365,6 +366,9 @@ def tune(
     pool = None
     try:
         if jobs > 1 and len(shapings) > 1:
+            # built before the fork, the kernel is inherited; a worker that
+            # compiled it would page the compiler in, about 0.7 MB of peak RSS each
+            rk4_kernel(problem.n_x)
             pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker, initargs=task_args)
             outcomes = _in_order_failing_fast([pool.submit(_certify_in_worker, s) for s in shapings])

@@ -82,6 +82,25 @@ def point_pvtol_rhs_jac(x, u, p):
     return A, B
 
 
+def reference_pvtol_stage_cost(x, u, p, q):
+    """PVTOL's stage cost as it read with float() on every array entry."""
+    d0 = float(x[0]) - float(q[0])
+    d1 = float(x[1]) - float(q[1])
+    d2, d3, d4, d5 = float(x[2]), float(x[3]), float(x[4]), float(x[5])
+    e0 = float(u[0]) - 1.0
+    e1 = float(u[1])
+    return (
+        1.0e3 * d0 * d0 + 1.0e3 * d1 * d1 + 1.0e3 * d2 * d2
+        + 1.0 * d3 * d3 + 1.0 * d4 * d4 + 1.0 * d5 * d5
+        + 0.1 * e0 * e0 + 0.1 * e1 * e1
+    )
+
+
+def reference_pvtol_constraints(x, u, p, q):
+    """PVTOL's constraint map as it read on numpy scalars."""
+    return np.array([x[5] - q[2], -x[5] - q[2], x[2] - q[3], -x[2] - q[3]])
+
+
 def stub_report(
     solver_times,
     open_loop_costs=None,

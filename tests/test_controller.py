@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mpc_autotune import (
+    CertificationParams,
     ClosedLoopReport,
     DesignBounds,
     DesignVector,
@@ -19,12 +20,14 @@ from mpc_autotune import (
     open_loop_cost,
     open_loop_gradient,
     generate_cloud,
+    make_batches,
     pvtol_problem,
     realize,
     sample_shaping,
     shift_warm_start,
     simulate_closed_loop,
     solve,
+    tune,
     update_count,
 )
 
@@ -565,8 +568,9 @@ def test_rhs_gets_tuples_of_floats_everywhere():
     # the solver, the plant step, the finite-difference Jacobians and the
     # calibration all call rhs the way the RK4 kernel does
     def tuple_rhs(x, u, p):
-        if not (type(x) is tuple and type(u) is tuple and all(type(v) is float for v in x + u)):
-            raise TypeError(f"rhs got {type(x).__name__} and {type(u).__name__}")
+        args = (x, u, p)
+        if not (all(type(a) is tuple for a in args) and all(type(v) is float for v in x + u + p)):
+            raise TypeError(f"rhs got {type(x).__name__}, {type(u).__name__} and {type(p).__name__}")
         return (u[0],)
 
     prob = integrator_problem()
@@ -578,3 +582,32 @@ def test_rhs_gets_tuples_of_floats_everywhere():
     A, B = prob.rhs_jacobians(np.array([0.5]), np.array([0.2]), np.zeros(1))
     np.testing.assert_allclose(B, [[1.0]])
     assert calibrate_c_eval(prob, n=10) > 0.0
+
+
+def test_rhs_gets_x_u_and_p_as_tuples_of_floats():
+    # a tiny tuning run, a closed-loop simulation and the calibration all
+    # call rhs as the RK4 kernel does
+    prob = pvtol_problem()
+    rhs = prob.rhs
+    calls = []
+
+    def recording_rhs(x, u, p):
+        calls.append((x, u, p))
+        return rhs(x, u, p)
+
+    def all_tuples_of_floats():
+        ok = all(type(a) is tuple and all(type(v) is float for v in a) for call in calls for a in call)
+        n = len(calls)
+        calls.clear()
+        return n > 0 and ok
+
+    prob.rhs = recording_rhs
+    scenarios = generate_cloud(prob, 2, seed=0, duration=0.05)
+    tune(prob, [sample_shaping(np.random.default_rng(0))], make_batches(scenarios, 2, 1), DesignBounds(),
+         CertificationParams(gamma=0.98, eps=0.5, dev_acc=1.0, c_max=0.1), COST_TIMING)
+    assert all_tuples_of_floats()
+    setting = MpcSetting.from_design(prob, realize(sample_shaping(np.random.default_rng(1)), 0.5, DesignBounds()))
+    simulate_closed_loop(setting, scenarios[0], COST_TIMING)
+    assert all_tuples_of_floats()
+    calibrate_c_eval(prob, n=10)
+    assert all_tuples_of_floats()

@@ -13,7 +13,7 @@ from mpc_autotune import (
     pvtol_problem,
     rk4_step,
 )
-from mpc_autotune.integration import rk4_stages
+from mpc_autotune.integration import rk4_kernel, rk4_stages
 
 NO_P = np.zeros(1)
 
@@ -151,11 +151,41 @@ def test_rk4_stages_match_numpy_reference_bit_for_bit():
     for _ in range(20_000):
         x = rng.uniform(-3.0, 3.0, size=6)
         u = rng.uniform(-50.0, 50.0, size=2)
-        p = prob.p_nom + prob.p_std * rng.standard_normal(2)
+        p = tuple((prob.p_nom + prob.p_std * rng.standard_normal(2)).tolist())
         h = rng.uniform(1.0e-3, 0.2)
         got = np.array(rk4_stages(prob.rhs, tuple(x.tolist()), tuple(u.tolist()), p, h))
         want = np.array(numpy_rk4_stages(array_rhs, x, u, p, h))
         assert got.tobytes() == want.tobytes()
+
+
+def nonlinear_rhs(n, form, rng):
+    """A random coupled nonlinear rhs on n states, returning form(values)."""
+    w = rng.uniform(-1.0, 1.0, size=(n, n)).tolist()
+
+    def rhs(x, u, p):
+        return form([
+            math.sin(sum(wij * xj for wij, xj in zip(wi, x))) * p[0] + u[0] * x[i] * x[(i + 1) % n] - p[1] * x[i]
+            for i, wi in enumerate(w)
+        ])
+
+    return rhs
+
+
+@pytest.mark.parametrize("form", [tuple, list, np.array], ids=["tuple", "list", "ndarray"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rk4_kernel_matches_numpy_reference_for_every_state_length(n, form):
+    assert rk4_kernel(n) is rk4_kernel(n)
+    rng = np.random.default_rng(n)
+    rhs = nonlinear_rhs(n, form, rng)
+    array_rhs = lambda x, u, p: np.array(rhs(tuple(x.tolist()), u, p), dtype=float)
+    for _ in range(300):
+        x = rng.uniform(-2.0, 2.0, size=n)
+        u = tuple(rng.uniform(-1.0, 1.0, size=1).tolist())
+        p = tuple(rng.uniform(0.5, 2.0, size=2).tolist())
+        h = rng.uniform(1.0e-3, 0.2)
+        got = np.array(rk4_kernel(n)(rhs, tuple(x.tolist()), u, p, h))
+        want = np.array(numpy_rk4_stages(array_rhs, x, u, p, h))
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 # hold_input ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ from mpc_autotune import (
 )
 from mpc_autotune.pvtol import target_state
 
-from conftest import point_pvtol_rhs_jac
+from conftest import point_pvtol_rhs_jac, reference_pvtol_constraints, reference_pvtol_stage_cost
 
 Q_ZERO = np.array([0.0, 0.0, 1.0, 0.5])
 
@@ -214,6 +214,29 @@ def test_stacked_pvtol_jacobians_equal_the_point_formula_bit_for_bit(pvtol):
             points = [point_pvtol_rhs_jac(xi, ui, p) for xi, ui in zip(x, u)]
             assert A.tobytes() == np.stack([a for a, _ in points]).tobytes()
             assert B.tobytes() == np.stack([b for _, b in points]).tobytes()
+
+
+def mixed_floats(rng, size):
+    """Floats of either sign: a third within +-3, a tenth +-0.0, the rest of
+    magnitude 1e-20 to 1e150."""
+    v = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-20.0, 150.0, size=size)
+    moderate = rng.random(size) < 1 / 3
+    v[moderate] = rng.uniform(-3.0, 3.0, size=int(moderate.sum()))
+    zero = rng.random(size) < 0.1
+    v[zero] = rng.choice([-0.0, 0.0], size=int(zero.sum()))
+    return v
+
+
+def test_pvtol_stage_cost_and_constraints_equal_the_reference_bit_for_bit(pvtol):
+    rng = np.random.default_rng(13)
+    for _ in range(20_000):
+        x, u, q = mixed_floats(rng, 6), mixed_floats(rng, 2), mixed_floats(rng, 4)
+        got = pvtol.stage_cost(x, u, pvtol.p_nom, q)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(reference_pvtol_stage_cost(x, u, pvtol.p_nom, q)).tobytes()
+        c = pvtol.constraint_map(x, u, pvtol.p_nom, q)
+        assert c.dtype == np.float64
+        assert c.tobytes() == reference_pvtol_constraints(x, u, pvtol.p_nom, q).tobytes()
 
 
 def test_pvtol_jacobians_keep_the_leading_axes(pvtol):
