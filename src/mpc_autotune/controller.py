@@ -147,58 +147,61 @@ def shift_warm_start(z: Array, n_u: int) -> Array:
     return np.concatenate([z[n_u:], z[-n_u:]])
 
 
-def _penalty_sum(c: Array) -> float:
-    total = 0.0
-    for v in c.tolist():
-        if v > 0.0:
-            total += v
-    return total
-
-
-def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, list]:
-    """Objective value, the number of RK steps spent, and the step record.
+def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, tuple]:
+    """Objective value, the number of RK steps spent, and the pass record.
 
     Returns inf on divergence.  Finiteness is checked once per updating
     period through the accumulated cost (any non-finite state poisons the
     stage cost or the penalty), which keeps the per-substep loop lean.  The
-    state is carried as a tuple of floats between RK steps and becomes an
-    array once per updating period, for the other callbacks; rhs gets p as
-    a tuple of floats too, converted once per pass.  The record
-    holds the tuples (x, x2, x3, x4, x_next) of every substep, for reuse by
-    a gradient pass over the same decision vector.
+    pass runs wholly on tuples of floats: the state between RK steps, the
+    input block of each period, p and q, which every value callback gets.
+    The constraint values are walked once; a value counts towards the
+    penalty unless it is <= 0, so a NaN makes the pass diverge.  The record
+    is (steps, actives): steps holds the tuples (x, x2, x3, x4, x_next) of
+    every substep and actives the indices of each period's active
+    constraints (empty when n_c is 0), for reuse by a gradient pass over the
+    same decision vector.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
-    rhs, n_steps = prob.rhs, grid.n_steps
+    rhs, stage_cost, constraint_map, n_steps = prob.rhs, prob.stage_cost, prob.constraint_map, grid.n_steps
     tau_u, h = grid.tau_u, grid.tau_p
-    blocks = z.reshape(design.n_contr, prob.n_u)
-    u_tuples = [tuple(row) for row in blocks.tolist()]
-    record: list = []
+    n_u, n_contr = prob.n_u, design.n_contr
+    zl = z.tolist()
+    u_blocks = [tuple(zl[b * n_u : (b + 1) * n_u]) for b in range(n_contr)]
+    # the input of each period; the tail periods reuse the last block (block_index)
+    period_inputs = u_blocks[: design.n_pred] + u_blocks[-1:] * (design.n_pred - n_contr)
+    steps_record: list = []
+    actives: list = []
     cost = 0.0
     steps = 0
-    xt = tuple(x.tolist())
-    pt = tuple(map(float, p))
+    xt, pt, qt = tuple(x.tolist()), tuple(map(float, p)), tuple(map(float, q))
     kernel = rk4_kernel(len(xt))
-    for j in range(design.n_pred):
-        b = block_index(j, design.n_contr)
-        u, ut = blocks[b], u_tuples[b]
-        cost += prob.stage_cost(x, u, p, q) * tau_u
+    penalty_weight = design.rho_constr
+    for ut in period_inputs:
+        cost += stage_cost(xt, ut, pt, qt) * tau_u
         try:
             for _ in range(n_steps):
                 stages = kernel(rhs, xt, ut, pt, h)
-                record.append((xt, *stages))
+                steps_record.append((xt, *stages))
                 xt = stages[3]
         except ArithmeticError:  # a float overflow in rhs: the period diverged and is charged whole
-            return math.inf, steps + n_steps, record
+            return math.inf, steps + n_steps, (steps_record, actives)
         steps += n_steps
-        x = np.array(xt)
         if prob.n_c:
-            cost += design.rho_constr * _penalty_sum(prob.constraint_map(x, u, p, q)) * tau_u
+            penalty = 0.0
+            active = []
+            for i, v in enumerate(constraint_map(xt, ut, pt, qt)):
+                if not v <= 0.0:
+                    penalty += v
+                    active.append(i)
+            actives.append(active)
+            cost += penalty_weight * penalty * tau_u
         if not math.isfinite(cost):
-            return math.inf, steps, record
-    cost += design.rho_f * prob.terminal_penalty_base(x, p, q)
-    if not (math.isfinite(cost) and np.all(np.isfinite(x))):
-        return math.inf, steps, record
-    return cost, steps, record
+            return math.inf, steps, (steps_record, actives)
+    cost += design.rho_f * prob.terminal_penalty_base(xt, pt, qt)
+    if not (math.isfinite(cost) and all(map(math.isfinite, xt))):
+        return math.inf, steps, (steps_record, actives)
+    return cost, steps, (steps_record, actives)
 
 
 def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> float:
@@ -206,67 +209,88 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
     return _cost_pass(setting, np.asarray(x, dtype=float), p, q, np.asarray(z, dtype=float))[0]
 
 
-def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, records: list) -> Array:
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple) -> Array:
     """Exact gradient of the objective via forward sensitivities.
 
-    records must come from a finite cost pass at the same state and decision
+    record must come from a finite cost pass at the same state and decision
     vector; its stage states are reused, read into one array, and one
-    rhs_jacobians call on all 4 * len(records) of them gives their
+    rhs_jacobians call on all 4 * n_pred * n_steps of them gives their
     Jacobians.  Each stage's B is scattered ahead of time into its block's
     columns of an n_x x n_z array padded with -0.0, which leaves every
     float it is added to unchanged, so a stage is one product and one add.
-    Each record propagates the sensitivity S = dx/dz through one RK4 step.
+    Each recorded step propagates the sensitivity S = dx/dz through one RK4
+    step, and S is kept at every period boundary.
+
+    The gradient is a sum of terms, one row each: per period the stage
+    cost's tau_u * (lx @ S) and its input part tau_u * lu, then for each
+    active constraint its state and input parts, then the terminal term.
+    They come from one stage_cost_grads call on every period start and at
+    most one constraint_jacobians call on the periods with an active
+    constraint, with stacked products, and are summed in that order by one
+    sequential accumulate from +0.0; input parts are rows padded with -0.0.
     """
+    steps_record, actives = record
     prob, design, grid = setting.problem, setting.design, setting.grid
-    tau_u, h = grid.tau_u, grid.tau_p
+    tau_u, h, n_steps = grid.tau_u, grid.tau_p, grid.n_steps
     half, h6 = 0.5 * h, h / 6.0
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
-    blocks = z.reshape(design.n_contr, n_u)
-    grad = np.zeros(n_z)
-    S = np.zeros((n_x, n_z))
-    n_rec = len(records)
-    assert n_rec == design.n_pred * grid.n_steps
-    stage_states = np.fromiter(chain.from_iterable(chain.from_iterable(records)), float, 5 * n_x * n_rec)
+    n_pred, n_contr = design.n_pred, design.n_contr
+    blocks = z.reshape(n_contr, n_u)
+    n_rec = len(steps_record)
+    assert n_rec == n_pred * n_steps
+    stage_states = np.fromiter(chain.from_iterable(chain.from_iterable(steps_record)), float, 5 * n_x * n_rec)
     stage_states = stage_states.reshape(n_rec, 5, n_x)
     n_points = 4 * n_rec
+    period_blocks = np.minimum(np.arange(n_pred), n_contr - 1)
     # the input block of each stage point: 4 stages per step, n_steps steps per period
-    point_blocks = np.repeat(np.minimum(np.arange(design.n_pred), design.n_contr - 1), 4 * grid.n_steps)
+    point_blocks = np.repeat(period_blocks, 4 * n_steps)
     A_all, B_all = prob.rhs_jacobians(stage_states[:, :4].reshape(n_points, n_x), blocks[point_blocks], p)
-    B_pad = np.full((n_points, n_x, design.n_contr, n_u), -0.0)
+    B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
-    step_jacobians = zip(A_all.reshape(-1, 4, n_x, n_x), B_pad.reshape(-1, 4, n_x, n_z))
-    period_ends = stage_states[grid.n_steps - 1 :: grid.n_steps, 4]
-    xj = stage_states[0, 0]
-    for j in range(design.n_pred):
-        b = block_index(j, design.n_contr)
-        cols = slice(b * n_u, (b + 1) * n_u)
-        u = blocks[b]
-        lx, lu = prob.stage_cost_grads(xj, u, p, q)
-        grad += tau_u * (lx @ S)
-        grad[cols] += tau_u * lu
-        for _ in range(grid.n_steps):
-            (A1, A2, A3, A4), (B1, B2, B3, B4) = next(step_jacobians)
-            K1 = A1.dot(S)
-            K1 += B1
-            K2 = A2.dot(K1 * half + S)
-            K2 += B2
-            K3 = A3.dot(K2 * half + S)
-            K3 += B3
-            K4 = A4.dot(K3 * h + S)
-            K4 += B4
+    A_stages = iter(list(A_all))
+    B_stages = iter(list(B_pad.reshape(n_points, n_x, n_z)))
+    S = np.zeros((n_x, n_z))
+    S_at = np.zeros((n_pred + 1, n_x, n_z))  # S at the start of each period, and at the end
+    for j in range(1, n_pred + 1):
+        for _ in range(n_steps):
+            K1 = next(A_stages).dot(S)
+            K1 += next(B_stages)
+            K2 = next(A_stages).dot(K1 * half + S)
+            K2 += next(B_stages)
+            K3 = next(A_stages).dot(K2 * half + S)
+            K3 += next(B_stages)
+            K4 = next(A_stages).dot(K3 * h + S)
+            K4 += next(B_stages)
             S += ((K2 + K3) * 2.0 + (K1 + K4)) * h6
-        xj = period_ends[j]
-        if prob.n_c:
-            c = prob.constraint_map(xj, u, p, q)
-            active = (c > 0.0).nonzero()[0]
-            if active.size:
-                Cx, Cu = prob.constraint_jacobians(xj, u, p, q)
-                scale = design.rho_constr * tau_u
-                for i in active:
-                    grad += scale * (Cx[i] @ S)
-                    grad[cols] += scale * Cu[i]
-    grad += design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
-    return grad
+        S_at[j] = S
+
+    period_inputs = blocks[period_blocks]
+    lx, lu = prob.stage_cost_grads(stage_states[::n_steps, 0], period_inputs, p, q)
+    # the active constraints as (period, index) pairs, in period order; the
+    # constraint Jacobians come only at the periods with one, and slot k
+    # holds the k-th such period
+    act_periods = np.array([j for j, active in enumerate(actives) if active], dtype=np.intp)
+    pair_slot = [k for k, j in enumerate(act_periods.tolist()) for _ in actives[j]]
+    pair_index = list(chain.from_iterable(actives))
+    pair_period = act_periods[pair_slot]
+    n_pairs = len(pair_index)
+    n_before = np.searchsorted(pair_period, np.arange(n_pred))  # pairs of the earlier periods
+    stage_rows = 1 + 2 * (np.arange(n_pred) + n_before)
+    terms = np.full((2 * (n_pred + n_pairs) + 2, n_contr, n_u), -0.0)
+    flat_terms = terms.reshape(-1, n_z)
+    flat_terms[0] = 0.0
+    flat_terms[stage_rows] = tau_u * np.matmul(lx[:, None, :], S_at[:n_pred])[:, 0]
+    terms[stage_rows + 1, period_blocks] = tau_u * lu
+    if n_pairs:
+        Cx, Cu = prob.constraint_jacobians(
+            stage_states[n_steps * act_periods + n_steps - 1, 4], period_inputs[act_periods], p, q
+        )
+        scale = design.rho_constr * tau_u
+        pair_rows = 1 + 2 * (pair_period + 1 + np.arange(n_pairs))
+        flat_terms[pair_rows] = scale * np.matmul(Cx[pair_slot, pair_index][:, None, :], S_at[pair_period + 1])[:, 0]
+        terms[pair_rows + 1, period_blocks[pair_period]] = scale * Cu[pair_slot, pair_index]
+    flat_terms[-1] = design.rho_f * (prob.terminal_grad(stage_states[-1, 4], p, q) @ S)
+    return np.cumsum(flat_terms, axis=0)[-1]
 
 
 def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> Array:
@@ -275,10 +299,10 @@ def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Arr
     Entries are NaN where the objective itself is not finite.
     """
     z = np.asarray(z, dtype=float)
-    cost, _, records = _cost_pass(setting, np.asarray(x, dtype=float), p, q, z)
+    cost, _, record = _cost_pass(setting, np.asarray(x, dtype=float), p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
-    return _grad_pass(setting, p, q, z, records)
+    return _grad_pass(setting, p, q, z, record)
 
 
 def _descend(
@@ -302,7 +326,7 @@ def _descend(
     """
     total_steps = 0
 
-    cost, steps, records = _cost_pass(setting, x, p, q, z)
+    cost, steps, record = _cost_pass(setting, x, p, q, z)
     total_steps += steps
     if not math.isfinite(cost):
         return z, math.inf, 0, total_steps, True
@@ -315,9 +339,9 @@ def _descend(
     for _ in range(setting.design.max_iter):
         if over_budget is not None and over_budget(total_steps):
             return best_z, best_cost, iterations, total_steps, False
-        # records always describe the trajectory of the current iterate z
-        grad = _grad_pass(setting, p, q, z, records)
-        total_steps += len(records)
+        # record always describes the trajectory of the current iterate z
+        grad = _grad_pass(setting, p, q, z, record)
+        total_steps += len(record[0])
         if not np.all(np.isfinite(grad)):
             break
         projected = z - np.clip(z - grad, z_lo, z_hi)
@@ -339,7 +363,7 @@ def _descend(
             d = z_try - z
             if float(np.max(np.abs(d))) == 0.0:
                 break
-            cost_try, steps, try_records = _cost_pass(setting, x, p, q, z_try)
+            cost_try, steps, try_record = _cost_pass(setting, x, p, q, z_try)
             total_steps += steps
             if math.isfinite(cost_try) and cost_try <= cost + ARMIJO_SLOPE * float(grad @ d):
                 accepted = True
@@ -348,7 +372,7 @@ def _descend(
         if not accepted:
             break  # same iterate would fail the same search again
 
-        z, cost, step_size, records = z_try, cost_try, s, try_records
+        z, cost, step_size, record = z_try, cost_try, s, try_record
         if cost < best_cost:
             best_z, best_cost = z, cost
 
@@ -419,14 +443,17 @@ def simulate_closed_loop(
 
     The plant always advances at the problem's sampling period tau; the input
     is held for kappa fine steps between updates.  Warm starts shift the
-    previous solution by one block.  On solver or plant divergence the report
-    is flagged and the remaining per-update entries read +inf.  Given a
-    real-time budget, the simulation stops at the first update whose solve
-    overruns it (see ClosedLoopReport); the solve gets the budget too.
+    previous solution by one block.  The stage cost and the constraint map
+    get x, u, p and q as tuples of floats, as in a cost pass.  On solver or
+    plant divergence the report is flagged and the remaining per-update
+    entries read +inf.  Given a real-time budget, the simulation stops at
+    the first update whose solve overruns it (see ClosedLoopReport); the
+    solve gets the budget too.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     kappa, tau, tau_u = design.kappa, prob.tau, grid.tau_u
     p, q = scenario.p, scenario.q
+    pt, qt = tuple(p.tolist()), tuple(q.tolist())
     m = update_count(scenario.duration, tau_u)
 
     solver_times = np.full(m, math.inf)
@@ -457,14 +484,18 @@ def simulate_closed_loop(
         ol_costs[k] = result.cost
         u = result.z_opt[: prob.n_u].copy()
         inputs[k] = u
-        cl_cost += prob.stage_cost(x, u, p, q) * tau_u
+        ut = tuple(u.tolist())
+        cl_cost += prob.stage_cost(tuple(x.tolist()), ut, pt, qt) * tau_u
 
         try:
             hold_input(prob.rhs, rows, u, p, tau)
         except PropagationError:
             diverged_at = k
             break
-        max_viols[k] = max(np.max(prob.constraint_map(row, u, p, q)) for row in rows) if prob.n_c else 0.0
+        if prob.n_c:
+            max_viols[k] = max(np.max(prob.constraint_map(tuple(row), ut, pt, qt)) for row in rows.tolist())
+        else:
+            max_viols[k] = 0.0
         z_warm = shift_warm_start(result.z_opt, prob.n_u)
 
     diverged = diverged_at is not None

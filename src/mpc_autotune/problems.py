@@ -27,21 +27,25 @@ def _as_vector(v, n: int, name: str) -> Array:
 class ProblemDefinition:
     """Continuous-time control problem with box bounds and uncertainty ranges.
 
-    rhs(x, u, p) -> dx/dt gets the state x, the input u and the parameters
-    p as tuples of floats and may return any length-n_x sequence of floats;
-    a callback that needs arrays calls np.asarray itself.  The other
-    callbacks, rhs_jac included, get arrays: stage_cost(x, u, p, q) -> float,
-    terminal_penalty_base(x, p, q) -> float (scaled by rho_f downstream), and
-    constraint_map(x, u, p, q) -> length-n_c vector with the convention
-    "admissible iff every component <= 0".
+    One rule sets how the callbacks are called.  The value callbacks get x,
+    u, p and q as tuples of floats: rhs(x, u, p) -> dx/dt, any length-n_x
+    sequence of floats; stage_cost(x, u, p, q) -> float;
+    terminal_penalty_base(x, p, q) -> float (scaled by rho_f downstream);
+    and constraint_map(x, u, p, q) -> any length-n_c sequence of floats,
+    with the convention "admissible iff every component <= 0".  A callback
+    that needs arrays calls np.asarray itself.
 
     The *_jac / *_grad callbacks are optional analytic derivatives; central
-    finite differences are used where they are absent.  rhs_jac(x, u, p) ->
-    (A, B) gets points stacked on leading axes, x of shape (..., n_x) and u
-    of shape (..., n_u), and returns A of shape (..., n_x, n_x) and B of
-    shape (..., n_x, n_u) with the same leading axes; a single point has
-    none.  The gradient pass gets the Jacobians of all its RK stages from
-    one call.
+    finite differences are used where they are absent.  The derivative
+    callbacks get arrays, with points stacked on leading axes: x of shape
+    (..., n_x) and u of shape (..., n_u), while p and q are one vector each.
+    rhs_jac(x, u, p) -> (A, B) returns A of shape (..., n_x, n_x) and B of
+    shape (..., n_x, n_u); stage_cost_grad(x, u, p, q) -> (lx, lu) returns
+    shapes (..., n_x) and (..., n_u); constraint_jac(x, u, p, q) -> (Cx, Cu)
+    returns shapes (..., n_c, n_x) and (..., n_c, n_u).  The leading axes
+    are those of x; a single point has none.  A gradient pass makes one
+    call of each on all the points it needs.  terminal_penalty_grad(x, p, q)
+    gets one point, as an array, and returns shape (n_x,).
     """
 
     n_x: int
@@ -59,9 +63,9 @@ class ProblemDefinition:
     p_nom: Array
     p_std: Array
     rhs: Callable[[tuple, tuple, tuple], Sequence[float]]
-    constraint_map: Callable[[Array, Array, Array, Array], Array]
-    stage_cost: Callable[[Array, Array, Array, Array], float]
-    terminal_penalty_base: Callable[[Array, Array, Array], float]
+    constraint_map: Callable[[tuple, tuple, tuple, tuple], Sequence[float]]
+    stage_cost: Callable[[tuple, tuple, tuple, tuple], float]
+    terminal_penalty_base: Callable[[tuple, tuple, tuple], float]
     u_trim: Array | None = None
     rhs_jac: Callable[[Array, Array, Array], tuple[Array, Array]] | None = None
     stage_cost_grad: Callable[[Array, Array, Array, Array], tuple[Array, Array]] | None = None
@@ -103,44 +107,69 @@ class ProblemDefinition:
     def rhs_jacobians(self, x: Array, u: Array, p: Array) -> tuple[Array, Array]:
         """d rhs/dx and d rhs/du at (x, u, p), for points stacked on the
         leading axes of x and u as rhs_jac gets them."""
-        lead = x.shape[:-1]
         if self.rhs_jac is not None:
-            A, B = self.rhs_jac(x, u, p)
-            if np.shape(A) != lead + (self.n_x, self.n_x) or np.shape(B) != lead + (self.n_x, self.n_u):
-                raise ValueError(
-                    f"rhs_jac returned A of shape {np.shape(A)} and B of shape {np.shape(B)} for x of shape "
-                    f"{x.shape}: it must take points stacked on leading axes and return A of shape "
-                    f"(..., n_x, n_x) and B of shape (..., n_x, n_u) with the same leading axes"
-                )
-            return A, B
-        A = np.empty(lead + (self.n_x, self.n_x))
-        B = np.empty(lead + (self.n_x, self.n_u))
-        pt = tuple(map(float, p))  # rhs takes tuples, as in the RK4 kernel
-        for i in np.ndindex(lead):
-            xi, ui = x[i], u[i]
-            xt, ut = tuple(xi.tolist()), tuple(ui.tolist())
-            A[i] = _fd_jacobian(lambda v: self.rhs(tuple(v.tolist()), ut, pt), xi, self.n_x, self.fd_step)
-            B[i] = _fd_jacobian(lambda v: self.rhs(xt, tuple(v.tolist()), pt), ui, self.n_x, self.fd_step)
-        return A, B
+            return self._checked("rhs_jac", self.rhs_jac(x, u, p), x, "n_x, n_x", "n_x, n_u")
+        pt = _floats(p)
+        return self._fd_stacked(lambda xt, ut: self.rhs(xt, ut, pt), x, u, self.n_x)
 
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
+        """d stage_cost/dx and d stage_cost/du, for stacked points as
+        stage_cost_grad gets them."""
         if self.stage_cost_grad is not None:
-            return self.stage_cost_grad(x, u, p, q)
-        gx = _fd_jacobian(lambda v: self.stage_cost(v, u, p, q), x, 1, self.fd_step)[0]
-        gu = _fd_jacobian(lambda v: self.stage_cost(x, v, p, q), u, 1, self.fd_step)[0]
-        return gx, gu
+            return self._checked("stage_cost_grad", self.stage_cost_grad(x, u, p, q), x, "n_x", "n_u")
+        pt, qt = _floats(p), _floats(q)
+        lx, lu = self._fd_stacked(lambda xt, ut: (self.stage_cost(xt, ut, pt, qt),), x, u, 1)
+        return lx[..., 0, :], lu[..., 0, :]
 
     def terminal_grad(self, x: Array, p: Array, q: Array) -> Array:
         if self.terminal_penalty_grad is not None:
             return self.terminal_penalty_grad(x, p, q)
-        return _fd_jacobian(lambda v: self.terminal_penalty_base(v, p, q), x, 1, self.fd_step)[0]
+        pt, qt = _floats(p), _floats(q)
+        return _fd_jacobian(lambda v: (self.terminal_penalty_base(tuple(v.tolist()), pt, qt),), x, 1, self.fd_step)[0]
 
     def constraint_jacobians(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
+        """d constraint_map/dx and d constraint_map/du, for stacked points
+        as constraint_jac gets them."""
         if self.constraint_jac is not None:
-            return self.constraint_jac(x, u, p, q)
-        Cx = _fd_jacobian(lambda v: self.constraint_map(v, u, p, q), x, self.n_c, self.fd_step)
-        Cu = _fd_jacobian(lambda v: self.constraint_map(x, v, p, q), u, self.n_c, self.fd_step)
-        return Cx, Cu
+            return self._checked("constraint_jac", self.constraint_jac(x, u, p, q), x, "n_c, n_x", "n_c, n_u")
+        pt, qt = _floats(p), _floats(q)
+        return self._fd_stacked(lambda xt, ut: self.constraint_map(xt, ut, pt, qt), x, u, self.n_c)
+
+    def _checked(self, name: str, pair, x: Array, x_dims: str, u_dims: str) -> tuple[Array, Array]:
+        """A derivative callback's (d/dx, d/du) pair, after checking its
+        shapes against the stacked contract; x_dims and u_dims name the
+        trailing axes, as in "n_c, n_x"."""
+        dx, du = pair
+        lead = x.shape[:-1]
+        x_tail = tuple(getattr(self, d) for d in x_dims.split(", "))
+        u_tail = tuple(getattr(self, d) for d in u_dims.split(", "))
+        if np.shape(dx) != lead + x_tail or np.shape(du) != lead + u_tail:
+            raise ValueError(
+                f"{name} returned shapes {np.shape(dx)} and {np.shape(du)} for x of shape {x.shape}: it must "
+                f"take points stacked on leading axes and return shapes (..., {x_dims}) and (..., {u_dims}) "
+                f"with the same leading axes"
+            )
+        return dx, du
+
+    def _fd_stacked(
+        self, f: Callable[[tuple, tuple], Sequence[float]], x: Array, u: Array, n_out: int
+    ) -> tuple[Array, Array]:
+        """Central differences of the value callback f(x, u), which takes
+        tuples of floats, at every point stacked on the leading axes of x
+        and u."""
+        lead = x.shape[:-1]
+        jx = np.empty(lead + (n_out, self.n_x))
+        ju = np.empty(lead + (n_out, self.n_u))
+        for i in np.ndindex(lead):
+            xi, ui = x[i], u[i]
+            xt, ut = tuple(xi.tolist()), tuple(ui.tolist())
+            jx[i] = _fd_jacobian(lambda v: f(tuple(v.tolist()), ut), xi, n_out, self.fd_step)
+            ju[i] = _fd_jacobian(lambda v: f(xt, tuple(v.tolist())), ui, n_out, self.fd_step)
+        return jx, ju
+
+
+def _floats(v) -> tuple[float, ...]:
+    return tuple(map(float, v))
 
 
 def _fd_jacobian(f: Callable[[Array], Array], v: Array, n_out: int, step: float) -> Array:

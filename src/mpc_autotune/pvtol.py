@@ -68,10 +68,10 @@ def pvtol_rhs_jac(x: Array, u: Array, p: Array) -> tuple[Array, Array]:
     return A, B
 
 
-def pvtol_stage_cost(x: Array, u: Array, p: Array, q: Array) -> float:
-    x0, x1, d2, d3, d4, d5 = x.tolist()
-    u0, e1 = u.tolist()
-    q0, q1, _, _ = q.tolist()
+def pvtol_stage_cost(x: tuple, u: tuple, p: tuple, q: tuple) -> float:
+    x0, x1, d2, d3, d4, d5 = x
+    u0, e1 = u
+    q0, q1, _, _ = q
     d0 = x0 - q0
     d1 = x1 - q1
     e0 = u0 - 1.0
@@ -83,16 +83,17 @@ def pvtol_stage_cost(x: Array, u: Array, p: Array, q: Array) -> float:
 
 
 def pvtol_stage_cost_grad(x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
+    # x (..., 6) and u (..., 2) stack points on their leading axes
     dx = x.copy()
-    dx[0] -= q[0]
-    dx[1] -= q[1]
+    dx[..., 0] -= q[0]
+    dx[..., 1] -= q[1]
     dx *= _2Q_DIAG
     du = u - U_TRIM
     du *= _2R_DIAG
     return dx, du
 
 
-def pvtol_terminal_base(x: Array, p: Array, q: Array) -> float:
+def pvtol_terminal_base(x: tuple, p: tuple, q: tuple) -> float:
     dx = x - target_state(q)
     return float(math.sqrt(np.dot(Q_DIAG, dx * dx)))
 
@@ -105,11 +106,11 @@ def pvtol_terminal_grad(x: Array, p: Array, q: Array) -> Array:
     return Q_DIAG * dx / norm
 
 
-def pvtol_constraints(x: Array, u: Array, p: Array, q: Array) -> Array:
+def pvtol_constraints(x: tuple, u: tuple, p: tuple, q: tuple) -> tuple[float, ...]:
     # |theta_dot| <= q3 and |theta| <= q4, written as c_i <= 0
-    _, _, theta, _, _, theta_dot = x.tolist()
-    _, _, q3, q4 = q.tolist()
-    return np.array([theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4])
+    _, _, theta, _, _, theta_dot = x
+    _, _, q3, q4 = q
+    return (theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4)
 
 
 _CX_CONST = np.zeros((4, 6))
@@ -121,7 +122,9 @@ _CU_CONST = np.zeros((4, 2))
 
 
 def pvtol_constraint_jac(x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
-    return _CX_CONST.copy(), _CU_CONST.copy()
+    # constant, so one read-only broadcast per call, whatever the leading axes of x
+    lead = x.shape[:-1]
+    return np.broadcast_to(_CX_CONST, lead + (4, 6)), np.broadcast_to(_CU_CONST, lead + (4, 2))
 
 
 def pvtol_problem(

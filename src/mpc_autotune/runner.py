@@ -314,20 +314,28 @@ def coverage_note(nb: int, nsb: int, n_trials: int) -> list[str]:
     return lines
 
 
-def _check_rhs_jac(problem: ProblemDefinition, name: str) -> None:
-    """Call rhs_jac once on two stacked points, so that a callback written
-    for single points stops the run with a ConfigError before any tuning."""
-    if problem.rhs_jac is None:
-        return
+def _check_derivative_callbacks(problem: ProblemDefinition, name: str) -> None:
+    """Call rhs_jac, stage_cost_grad and constraint_jac once each on two
+    stacked points, so that a callback written for single points stops the
+    run with a ConfigError before any tuning."""
     x = np.stack([problem.x_min, problem.x_max])
     u = np.stack([problem.u_min, problem.u_max])
-    try:
-        problem.rhs_jacobians(x, u, problem.p_nom)
-    except (IndexError, TypeError, ValueError) as err:  # how a callback indexing single points fails
-        raise ConfigError(
-            f"problem {name!r}: rhs_jac fails on two stacked points ({type(err).__name__}: {err}); "
-            f"it must take x of shape (..., n_x) and u of shape (..., n_u)"
-        ) from None
+    p, q = problem.p_nom, problem.q_min
+    checks = (
+        ("rhs_jac", lambda: problem.rhs_jacobians(x, u, p)),
+        ("stage_cost_grad", lambda: problem.stage_cost_grads(x, u, p, q)),
+        ("constraint_jac", lambda: problem.constraint_jacobians(x, u, p, q)),
+    )
+    for callback, call in checks:
+        if getattr(problem, callback) is None:
+            continue
+        try:
+            call()
+        except (IndexError, TypeError, ValueError) as err:  # how a callback indexing single points fails
+            raise ConfigError(
+                f"problem {name!r}: {callback} fails on two stacked points ({type(err).__name__}: {err}); "
+                f"it must take x of shape (..., n_x) and u of shape (..., n_u)"
+            ) from None
 
 
 def run(config: RunConfig) -> int:
@@ -355,7 +363,7 @@ def run(config: RunConfig) -> int:
             problem = get_problem(config.problem)()
         except KeyError as err:
             raise ConfigError(str(err)) from None
-        _check_rhs_jac(problem, config.problem)
+        _check_derivative_callbacks(problem, config.problem)
         if config.gamma < 1.0 and update_count(config.duration, config.kappa_min * problem.tau) == 1:
             raise ConfigError(
                 f"duration {config.duration} allows one controller update even at kappa_min = {config.kappa_min}: "

@@ -82,6 +82,27 @@ def point_pvtol_rhs_jac(x, u, p):
     return A, B
 
 
+def point_pvtol_stage_cost_grad(x, u, p, q):
+    """PVTOL's stage-cost gradient at one point, component by component: a
+    callback that reads float(x[0]) and so cannot take stacked points."""
+    dx = [float(x[0]) - float(q[0]), float(x[1]) - float(q[1])] + [float(v) for v in x[2:]]
+    du = [float(u[0]) - 1.0, float(u[1]) - 0.0]
+    lx = np.array([d * (2.0 * w) for d, w in zip(dx, (1.0e3, 1.0e3, 1.0e3, 1.0, 1.0, 1.0))])
+    lu = np.array([d * (2.0 * w) for d, w in zip(du, (0.1, 0.1))])
+    return lx, lu
+
+
+def point_pvtol_constraint_jac(x, u, p, q):
+    """PVTOL's constraint Jacobians at one point: constant, of shapes (4, 6)
+    and (4, 2) whatever x is."""
+    Cx = np.zeros((4, 6))
+    Cx[0, 5] = 1.0
+    Cx[1, 5] = -1.0
+    Cx[2, 2] = 1.0
+    Cx[3, 2] = -1.0
+    return Cx, np.zeros((4, 2))
+
+
 def reference_pvtol_stage_cost(x, u, p, q):
     """PVTOL's stage cost as it read with float() on every array entry."""
     d0 = float(x[0]) - float(q[0])

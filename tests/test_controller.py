@@ -31,7 +31,7 @@ from mpc_autotune import (
     update_count,
 )
 
-from mpc_autotune.controller import _cost_pass
+from mpc_autotune.controller import _cost_pass, _grad_pass
 from conftest import integrator_problem, quadratic_problem
 
 COST_TIMING = TimingSpec(mode="cost-model", c_eval=1.0e-6)
@@ -150,6 +150,25 @@ def test_float_overflow_in_rhs_reads_as_divergence():
     assert result.work_units == WORK_PER_RK_STEP * setting.grid.n_steps
 
 
+def test_a_nan_constraint_value_reads_as_divergence():
+    # the penalty counts every value that is not <= 0, so a NaN poisons the cost
+    # instead of being skipped as "not > 0"
+    pvtol = pvtol_problem()
+    nan_map = dataclasses.replace(pvtol, constraint_map=lambda x, u, p, q: (math.nan, -1.0, -1.0, -1.0))
+    finite_map = dataclasses.replace(pvtol, constraint_map=lambda x, u, p, q: (-1.0, -1.0, -1.0, -1.0))
+    design = DesignVector(kappa=3, mu_d=0.5, n_pred=6, n_contr=2, rho_f=10.0, rho_constr=1e4, max_iter=10)
+    scenario = generate_cloud(pvtol, 1, seed=2, duration=0.5)[0]
+    args = (scenario.x0, scenario.p, scenario.q)
+    z = MpcSetting.from_design(pvtol, design).default_warm_start()
+    assert math.isfinite(open_loop_cost(MpcSetting.from_design(finite_map, design), *args, z))
+    setting = MpcSetting.from_design(nan_map, design)
+    assert open_loop_cost(setting, *args, z) == math.inf
+    result = solve(setting, *args, z, COST_TIMING)
+    assert result.diverged and result.cost == math.inf
+    # the first updating period ends in the NaN, and the pass stops there
+    assert result.work_units == WORK_PER_RK_STEP * setting.grid.n_steps
+
+
 # gradient -------------------------------------------------------------------------
 
 
@@ -221,7 +240,7 @@ def inplace_sens_step(prob, rec, u, p, h, S, cols, buf):
 
 def reference_gradient(setting, x, p, q, z):
     """Forward-sensitivity gradient built on inplace_sens_step."""
-    cost, _, records = _cost_pass(setting, x, p, q, z)
+    cost, _, (records, _) = _cost_pass(setting, x, p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
     prob, design, grid = setting.problem, setting.design, setting.grid
@@ -243,7 +262,7 @@ def reference_gradient(setting, x, p, q, z):
             rec = next(stage_states)
             inplace_sens_step(prob, rec, u, p, grid.tau_p, S, cols, buf)
             xj = rec[4]
-        c = prob.constraint_map(xj, u, p, q)
+        c = np.asarray(prob.constraint_map(*(tuple(v.tolist()) for v in (xj, u, p, q))))
         active = np.flatnonzero(c > 0.0)
         if active.size:
             Cx, Cu = prob.constraint_jacobians(xj, u, p, q)
@@ -255,11 +274,16 @@ def reference_gradient(setting, x, p, q, z):
 
 
 @pytest.mark.parametrize(
-    "rhs_jac, draws", [(pvtol_problem().rhs_jac, 1000), (None, 100)], ids=["analytic", "finite-difference"]
+    "prob, bounds, draws",
+    [
+        (pvtol_problem(), DesignBounds(), 1000),
+        (dataclasses.replace(pvtol_problem(), rhs_jac=None), DesignBounds(), 100),
+        # n_u = n_contr = 1, so n_z = 1: where a pairwise sum of the terms would differ
+        (integrator_problem(), DesignBounds(n_contr=(1, 1)), 300),
+    ],
+    ids=["analytic", "finite-difference", "single-input"],
 )
-def test_gradient_matches_inplace_reference_bit_for_bit(rhs_jac, draws):
-    prob = dataclasses.replace(pvtol_problem(), rhs_jac=rhs_jac)
-    bounds = DesignBounds()
+def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws):
     rng = np.random.default_rng(9)
     scenarios = generate_cloud(prob, 50, seed=9, duration=0.5)
     for n in range(draws):
@@ -289,6 +313,37 @@ def test_one_rhs_jac_call_per_gradient_pass():
     n_points = 4 * design.n_pred * setting.grid.n_steps
     assert setting.grid.n_steps > 1
     assert calls == [((n_points, 6), (n_points, 2))]
+
+
+def test_per_period_callbacks_are_called_once_per_gradient_pass():
+    pvtol = pvtol_problem()
+    calls = {"stage_cost_grad": [], "constraint_map": [], "constraint_jac": []}
+
+    def counting(name):
+        def callback(x, u, p, q):
+            calls[name].append(np.shape(x))
+            return getattr(pvtol, name)(x, u, p, q)
+        return callback
+
+    prob = dataclasses.replace(pvtol, **{name: counting(name) for name in calls})
+    design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
+    setting = MpcSetting.from_design(prob, design)
+    scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
+    rng = np.random.default_rng(5)
+    lo, hi = setting.z_bounds()
+    n_active_passes = 0
+    for z in [setting.default_warm_start()] + [rng.uniform(lo, hi) for _ in range(20)]:
+        cost, _, record = _cost_pass(setting, scenario.x0, scenario.p, scenario.q, z)
+        assert math.isfinite(cost)
+        for shapes in calls.values():
+            shapes.clear()
+        _grad_pass(setting, scenario.p, scenario.q, z, record)
+        # the cost pass recorded the active constraints, so constraint_map is not called again
+        active_periods = sum(map(bool, record[1]))
+        assert calls == {"stage_cost_grad": [(design.n_pred, 6)], "constraint_map": [],
+                         "constraint_jac": [(active_periods, 6)] if active_periods else []}
+        n_active_passes += active_periods > 0
+    assert 0 < n_active_passes < 21
 
 
 # solver ---------------------------------------------------------------------------
@@ -585,29 +640,47 @@ def test_rhs_gets_tuples_of_floats_everywhere():
 
 
 def test_rhs_gets_x_u_and_p_as_tuples_of_floats():
-    # a tiny tuning run, a closed-loop simulation and the calibration all
-    # call rhs as the RK4 kernel does
+    # a tiny tuning run, a closed-loop simulation, the calibration and the
+    # finite-difference fallbacks all call the value callbacks (rhs,
+    # stage_cost, terminal_penalty_base, constraint_map) with x, u, p and q
+    # as tuples of floats, as the RK4 kernel calls rhs
     prob = pvtol_problem()
-    rhs = prob.rhs
-    calls = []
+    calls = {"rhs": [], "stage_cost": [], "terminal_penalty_base": [], "constraint_map": []}
 
-    def recording_rhs(x, u, p):
-        calls.append((x, u, p))
-        return rhs(x, u, p)
+    def recording(name):
+        callback = getattr(prob, name)
 
-    def all_tuples_of_floats():
-        ok = all(type(a) is tuple and all(type(v) is float for v in a) for call in calls for a in call)
-        n = len(calls)
-        calls.clear()
-        return n > 0 and ok
+        def record(*args):
+            calls[name].append(args)
+            return callback(*args)
+        return record
 
-    prob.rhs = recording_rhs
+    def all_tuples_of_floats(*names):
+        args = [a for made in calls.values() for call in made for a in call]
+        ok = all(type(a) is tuple and all(type(v) is float for v in a) for a in args)
+        made = all(calls[name] for name in names)
+        for name in calls:
+            calls[name].clear()
+        return made and ok
+
+    for name in calls:
+        setattr(prob, name, recording(name))
     scenarios = generate_cloud(prob, 2, seed=0, duration=0.05)
     tune(prob, [sample_shaping(np.random.default_rng(0))], make_batches(scenarios, 2, 1), DesignBounds(),
          CertificationParams(gamma=0.98, eps=0.5, dev_acc=1.0, c_max=0.1), COST_TIMING)
-    assert all_tuples_of_floats()
+    assert all_tuples_of_floats(*calls)
     setting = MpcSetting.from_design(prob, realize(sample_shaping(np.random.default_rng(1)), 0.5, DesignBounds()))
     simulate_closed_loop(setting, scenarios[0], COST_TIMING)
-    assert all_tuples_of_floats()
+    assert all_tuples_of_floats(*calls)
     calibrate_c_eval(prob, n=10)
-    assert all_tuples_of_floats()
+    assert all_tuples_of_floats("rhs")
+    stripped = dataclasses.replace(
+        prob, rhs_jac=None, stage_cost_grad=None, terminal_penalty_grad=None, constraint_jac=None
+    )
+    x, u = np.zeros((2, 6)), np.ones((2, 2))
+    q = scenarios[0].q
+    stripped.rhs_jacobians(x, u, prob.p_nom)
+    stripped.stage_cost_grads(x, u, prob.p_nom, q)
+    stripped.terminal_grad(x[0], prob.p_nom, q)
+    stripped.constraint_jacobians(x, u, prob.p_nom, q)
+    assert all_tuples_of_floats(*calls)

@@ -15,7 +15,13 @@ from mpc_autotune import (
 )
 from mpc_autotune.pvtol import target_state
 
-from conftest import point_pvtol_rhs_jac, reference_pvtol_constraints, reference_pvtol_stage_cost
+from conftest import (
+    point_pvtol_constraint_jac,
+    point_pvtol_rhs_jac,
+    point_pvtol_stage_cost_grad,
+    reference_pvtol_constraints,
+    reference_pvtol_stage_cost,
+)
 
 Q_ZERO = np.array([0.0, 0.0, 1.0, 0.5])
 
@@ -229,14 +235,31 @@ def mixed_floats(rng, size):
 
 def test_pvtol_stage_cost_and_constraints_equal_the_reference_bit_for_bit(pvtol):
     rng = np.random.default_rng(13)
+    p = tuple(pvtol.p_nom.tolist())
     for _ in range(20_000):
         x, u, q = mixed_floats(rng, 6), mixed_floats(rng, 2), mixed_floats(rng, 4)
-        got = pvtol.stage_cost(x, u, pvtol.p_nom, q)
+        xt, ut, qt = tuple(x.tolist()), tuple(u.tolist()), tuple(q.tolist())  # as the solver passes them
+        got = pvtol.stage_cost(xt, ut, p, qt)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(reference_pvtol_stage_cost(x, u, pvtol.p_nom, q)).tobytes()
-        c = pvtol.constraint_map(x, u, pvtol.p_nom, q)
-        assert c.dtype == np.float64
-        assert c.tobytes() == reference_pvtol_constraints(x, u, pvtol.p_nom, q).tobytes()
+        c = pvtol.constraint_map(xt, ut, p, qt)
+        assert len(c) == 4 and all(type(v) is float for v in c)
+        assert np.array(c).tobytes() == reference_pvtol_constraints(x, u, pvtol.p_nom, q).tobytes()
+
+
+def test_stacked_pvtol_cost_and_constraint_derivatives_equal_the_point_formulas_bit_for_bit(pvtol):
+    rng = np.random.default_rng(14)
+    for _ in range(20):  # 20 x 1000 points, one q each
+        x, u, q = mixed_floats(rng, (1000, 6)), mixed_floats(rng, (1000, 2)), mixed_floats(rng, 4)
+        lx, lu = pvtol.stage_cost_grads(x, u, pvtol.p_nom, q)
+        points = [point_pvtol_stage_cost_grad(xi, ui, pvtol.p_nom, q) for xi, ui in zip(x, u)]
+        assert lx.tobytes() == np.stack([a for a, _ in points]).tobytes()
+        assert lu.tobytes() == np.stack([b for _, b in points]).tobytes()
+        Cx, Cu = pvtol.constraint_jacobians(x, u, pvtol.p_nom, q)
+        cx, cu = point_pvtol_constraint_jac(x[0], u[0], pvtol.p_nom, q)
+        assert Cx.shape == (1000, 4, 6) and Cu.shape == (1000, 4, 2)
+        assert np.ascontiguousarray(Cx).tobytes() == np.stack([cx] * 1000).tobytes()
+        assert np.ascontiguousarray(Cu).tobytes() == np.stack([cu] * 1000).tobytes()
 
 
 def test_pvtol_jacobians_keep_the_leading_axes(pvtol):
@@ -251,14 +274,23 @@ def test_pvtol_jacobians_keep_the_leading_axes(pvtol):
 
 
 def test_fd_fallback_loops_over_stacked_points(rng):
-    stripped = dataclasses.replace(pvtol_problem(), rhs_jac=None)
+    stripped = dataclasses.replace(pvtol_problem(), rhs_jac=None, stage_cost_grad=None, constraint_jac=None)
     x = rng.uniform(-0.5, 0.5, size=(2, 3, 6))
     u = rng.uniform(-3.0, 3.0, size=(2, 3, 2))
-    A, B = stripped.rhs_jacobians(x, u, stripped.p_nom)
+    p, q = stripped.p_nom, np.array([0.2, -0.1, 1.0, 0.5])
+    A, B = stripped.rhs_jacobians(x, u, p)
     assert A.shape == (2, 3, 6, 6) and B.shape == (2, 3, 6, 2)
+    lx, lu = stripped.stage_cost_grads(x, u, p, q)
+    assert lx.shape == (2, 3, 6) and lu.shape == (2, 3, 2)
+    Cx, Cu = stripped.constraint_jacobians(x, u, p, q)
+    assert Cx.shape == (2, 3, 4, 6) and Cu.shape == (2, 3, 4, 2)
     for i in np.ndindex(2, 3):
-        a, b = stripped.rhs_jacobians(x[i], u[i], stripped.p_nom)
+        a, b = stripped.rhs_jacobians(x[i], u[i], p)
         assert a.tobytes() == A[i].tobytes() and b.tobytes() == B[i].tobytes()
+        gx, gu = stripped.stage_cost_grads(x[i], u[i], p, q)
+        assert gx.shape == (6,) and gx.tobytes() == lx[i].tobytes() and gu.tobytes() == lu[i].tobytes()
+        cx, cu = stripped.constraint_jacobians(x[i], u[i], p, q)
+        assert cx.tobytes() == Cx[i].tobytes() and cu.tobytes() == Cu[i].tobytes()
 
 
 def test_rhs_jac_of_the_wrong_shape_names_the_stacked_contract():
@@ -268,6 +300,19 @@ def test_rhs_jac_of_the_wrong_shape_names_the_stacked_contract():
     x, u = np.zeros((2, 6)), np.zeros((2, 2))
     with pytest.raises(ValueError, match=r"points stacked on leading axes.*\(\.\.\., n_x, n_x\)"):
         one_point.rhs_jacobians(x, u, one_point.p_nom)
+
+
+def test_cost_and_constraint_derivatives_of_the_wrong_shape_name_the_stacked_contract():
+    q = np.array([0.2, -0.1, 1.0, 0.5])
+    x, u = np.zeros((2, 6)), np.zeros((2, 2))
+    one_point = dataclasses.replace(pvtol_problem(), constraint_jac=point_pvtol_constraint_jac)
+    with pytest.raises(ValueError, match=r"constraint_jac .*points stacked on leading axes.*\(\.\.\., n_c, n_x\)"):
+        one_point.constraint_jacobians(x, u, one_point.p_nom, q)
+    first_point = dataclasses.replace(
+        pvtol_problem(), stage_cost_grad=lambda x, u, p, q: point_pvtol_stage_cost_grad(x[0], u[0], p, q)
+    )
+    with pytest.raises(ValueError, match=r"stage_cost_grad .*points stacked on leading axes.*\(\.\.\., n_x\)"):
+        first_point.stage_cost_grads(x, u, first_point.p_nom, q)
 
 
 # problem validation ---------------------------------------------------------------

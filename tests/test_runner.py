@@ -47,7 +47,12 @@ from mpc_autotune.tuning import (
     required_scenarios,
 )
 
-from conftest import integrator_problem, point_pvtol_rhs_jac
+from conftest import (
+    integrator_problem,
+    point_pvtol_constraint_jac,
+    point_pvtol_rhs_jac,
+    point_pvtol_stage_cost_grad,
+)
 
 
 # RunConfig ---------------------------------------------------------------------------
@@ -454,6 +459,26 @@ def test_cli_rejects_a_point_only_rhs_jac(tmp_path, capsys, monkeypatch):
                  "--timing-mode", "cost-model", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()[-1]
     assert err.startswith("error: problem 'pvtol-point-jac': rhs_jac fails on two stacked points (IndexError:")
+    assert "(..., n_x)" in err
+    assert not (out / "trace.json").exists()
+
+
+@pytest.mark.parametrize(
+    "callback, point_only, error",
+    [("stage_cost_grad", point_pvtol_stage_cost_grad, "TypeError"),
+     ("constraint_jac", point_pvtol_constraint_jac, "ValueError")],
+)
+def test_cli_rejects_point_only_cost_and_constraint_derivatives(tmp_path, capsys, monkeypatch, callback, point_only,
+                                                                 error):
+    def point_problem():
+        return dataclasses.replace(pvtol_problem(), **{callback: point_only}, name="pvtol-point")
+
+    monkeypatch.setitem(mpc_autotune.problems._REGISTRY, "pvtol-point", point_problem)
+    out = tmp_path / "out"
+    assert main(["tune", "--problem", "pvtol-point", "--n-trials", "1", "--nb", "1", "--nsb", "1",
+                 "--timing-mode", "cost-model", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith(f"error: problem 'pvtol-point': {callback} fails on two stacked points ({error}:")
     assert "(..., n_x)" in err
     assert not (out / "trace.json").exists()
 
