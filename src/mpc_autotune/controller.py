@@ -174,7 +174,9 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     actives: list = []
     cost = 0.0
     steps = 0
-    xt, pt, qt = tuple(x.tolist()), tuple(map(float, p)), tuple(map(float, q))
+    # tuple() of a list, not of map(): CPython resizes a tuple built from an iterator
+    # and keeps each one freed on its free list, so memory grows with the passes
+    xt, pt, qt = (tuple(np.asarray(v, dtype=float).tolist()) for v in (x, p, q))
     kernel = rk4_kernel(len(xt))
     penalty_weight = design.rho_constr
     for ut in period_inputs:
@@ -247,8 +249,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     A_all, B_all = prob.rhs_jacobians(stage_states[:, :4].reshape(n_points, n_x), blocks[point_blocks], p)
     B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
-    A_stages = iter(list(A_all))
-    B_stages = iter(list(B_pad.reshape(n_points, n_x, n_z)))
+    A_stages = iter(A_all)
+    B_stages = iter(B_pad.reshape(n_points, n_x, n_z))
     S = np.zeros((n_x, n_z))
     S_at = np.zeros((n_pred + 1, n_x, n_z))  # S at the start of each period, and at the end
     for j in range(1, n_pred + 1):

@@ -141,8 +141,10 @@ class ProblemDefinition:
         trailing axes, as in "n_c, n_x"."""
         dx, du = pair
         lead = x.shape[:-1]
-        x_tail = tuple(getattr(self, d) for d in x_dims.split(", "))
-        u_tail = tuple(getattr(self, d) for d in u_dims.split(", "))
+        # tuple() of a list, not of a generator: CPython resizes a tuple built from a
+        # generator and keeps each one freed on its free list, so memory grows per call
+        x_tail = tuple([getattr(self, d) for d in x_dims.split(", ")])
+        u_tail = tuple([getattr(self, d) for d in u_dims.split(", ")])
         if np.shape(dx) != lead + x_tail or np.shape(du) != lead + u_tail:
             raise ValueError(
                 f"{name} returned shapes {np.shape(dx)} and {np.shape(du)} for x of shape {x.shape}: it must "
