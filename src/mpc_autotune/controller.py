@@ -157,10 +157,11 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     input block of each period, p and q, which every value callback gets.
     The constraint values are walked once; a value counts towards the
     penalty unless it is <= 0, so a NaN makes the pass diverge.  The record
-    is (steps, actives): steps holds the tuples (x, x2, x3, x4, x_next) of
-    every substep and actives the indices of each period's active
-    constraints (empty when n_c is 0), for reuse by a gradient pass over the
-    same decision vector.
+    is (states, actives): states holds the initial state and then the
+    stage states and the result (x2, x3, x4, x_next) of every substep, so
+    entries 4k to 4k + 3 are the stage points of substep k; actives holds
+    the indices of each period's active constraints (empty when n_c is 0).
+    A gradient pass over the same decision vector reuses both.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
     rhs, stage_cost, constraint_map, n_steps = prob.rhs, prob.stage_cost, prob.constraint_map, grid.n_steps
@@ -170,7 +171,6 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     u_blocks = [tuple(zl[b * n_u : (b + 1) * n_u]) for b in range(n_contr)]
     # the input of each period; the tail periods reuse the last block (block_index)
     period_inputs = u_blocks[: design.n_pred] + u_blocks[-1:] * (design.n_pred - n_contr)
-    steps_record: list = []
     actives: list = []
     cost = 0.0
     steps = 0
@@ -178,16 +178,17 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     # and keeps each one freed on its free list, so memory grows with the passes
     xt, pt, qt = (tuple(np.asarray(v, dtype=float).tolist()) for v in (x, p, q))
     kernel = rk4_kernel(len(xt))
+    states = [xt]
     penalty_weight = design.rho_constr
     for ut in period_inputs:
         cost += stage_cost(xt, ut, pt, qt) * tau_u
         try:
             for _ in range(n_steps):
                 stages = kernel(rhs, xt, ut, pt, h)
-                steps_record.append((xt, *stages))
+                states.extend(stages)
                 xt = stages[3]
         except ArithmeticError:  # a float overflow in rhs: the period diverged and is charged whole
-            return math.inf, steps + n_steps, (steps_record, actives)
+            return math.inf, steps + n_steps, (states, actives)
         steps += n_steps
         if prob.n_c:
             penalty = 0.0
@@ -199,11 +200,11 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
             actives.append(active)
             cost += penalty_weight * penalty * tau_u
         if not math.isfinite(cost):
-            return math.inf, steps, (steps_record, actives)
+            return math.inf, steps, (states, actives)
     cost += design.rho_f * prob.terminal_penalty_base(xt, pt, qt)
     if not (math.isfinite(cost) and all(map(math.isfinite, xt))):
-        return math.inf, steps, (steps_record, actives)
-    return cost, steps, (steps_record, actives)
+        return math.inf, steps, (states, actives)
+    return cost, steps, (states, actives)
 
 
 def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> float:
@@ -215,8 +216,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     """Exact gradient of the objective via forward sensitivities.
 
     record must come from a finite cost pass at the same state and decision
-    vector; its stage states are reused, read into one array, and one
-    rhs_jacobians call on all 4 * n_pred * n_steps of them gives their
+    vector; its states are reused, read into one array, and one
+    rhs_jacobians call on all 4 * n_pred * n_steps stage points gives their
     Jacobians.  Each stage's B is scattered ahead of time into its block's
     columns of an n_x x n_z array padded with -0.0, which leaves every
     float it is added to unchanged, so a stage is one product and one add.
@@ -231,22 +232,21 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     constraint, with stacked products, and are summed in that order by one
     sequential accumulate from +0.0; input parts are rows padded with -0.0.
     """
-    steps_record, actives = record
+    states, actives = record
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h, n_steps = grid.tau_u, grid.tau_p, grid.n_steps
     half, h6 = 0.5 * h, h / 6.0
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
     n_pred, n_contr = design.n_pred, design.n_contr
     blocks = z.reshape(n_contr, n_u)
-    n_rec = len(steps_record)
-    assert n_rec == n_pred * n_steps
-    stage_states = np.fromiter(chain.from_iterable(chain.from_iterable(steps_record)), float, 5 * n_x * n_rec)
-    stage_states = stage_states.reshape(n_rec, 5, n_x)
-    n_points = 4 * n_rec
+    n_points = 4 * n_pred * n_steps
+    assert len(states) == n_points + 1
+    # row 4k is the state substep k starts from and rows 4k to 4k + 3 its stage points
+    stage_states = np.fromiter(chain.from_iterable(states), float, n_x * (n_points + 1)).reshape(-1, n_x)
     period_blocks = np.minimum(np.arange(n_pred), n_contr - 1)
     # the input block of each stage point: 4 stages per step, n_steps steps per period
     point_blocks = np.repeat(period_blocks, 4 * n_steps)
-    A_all, B_all = prob.rhs_jacobians(stage_states[:, :4].reshape(n_points, n_x), blocks[point_blocks], p)
+    A_all, B_all = prob.rhs_jacobians(stage_states[:n_points], blocks[point_blocks], p)
     B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
     A_stages = iter(A_all)
@@ -267,7 +267,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
         S_at[j] = S
 
     period_inputs = blocks[period_blocks]
-    lx, lu = prob.stage_cost_grads(stage_states[::n_steps, 0], period_inputs, p, q)
+    lx, lu = prob.stage_cost_grads(stage_states[: n_points : 4 * n_steps], period_inputs, p, q)
     # the active constraints as (period, index) pairs, in period order; the
     # constraint Jacobians come only at the periods with one, and slot k
     # holds the k-th such period
@@ -285,13 +285,13 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     terms[stage_rows + 1, period_blocks] = tau_u * lu
     if n_pairs:
         Cx, Cu = prob.constraint_jacobians(
-            stage_states[n_steps * act_periods + n_steps - 1, 4], period_inputs[act_periods], p, q
+            stage_states[4 * n_steps * (act_periods + 1)], period_inputs[act_periods], p, q
         )
         scale = design.rho_constr * tau_u
         pair_rows = 1 + 2 * (pair_period + 1 + np.arange(n_pairs))
         flat_terms[pair_rows] = scale * np.matmul(Cx[pair_slot, pair_index][:, None, :], S_at[pair_period + 1])[:, 0]
         terms[pair_rows + 1, period_blocks[pair_period]] = scale * Cu[pair_slot, pair_index]
-    flat_terms[-1] = design.rho_f * (prob.terminal_grad(stage_states[-1, 4], p, q) @ S)
+    flat_terms[-1] = design.rho_f * (prob.terminal_grad(stage_states[-1], p, q) @ S)
     return np.cumsum(flat_terms, axis=0)[-1]
 
 
@@ -343,7 +343,7 @@ def _descend(
             return best_z, best_cost, iterations, total_steps, False
         # record always describes the trajectory of the current iterate z
         grad = _grad_pass(setting, p, q, z, record)
-        total_steps += len(record[0])
+        total_steps += setting.design.n_pred * setting.grid.n_steps
         if not np.all(np.isfinite(grad)):
             break
         projected = z - np.clip(z - grad, z_lo, z_hi)

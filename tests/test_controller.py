@@ -240,7 +240,7 @@ def inplace_sens_step(prob, rec, u, p, h, S, cols, buf):
 
 def reference_gradient(setting, x, p, q, z):
     """Forward-sensitivity gradient built on inplace_sens_step."""
-    cost, _, (records, _) = _cost_pass(setting, x, p, q, z)
+    cost, _, (states, _) = _cost_pass(setting, x, p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
     prob, design, grid = setting.problem, setting.design, setting.grid
@@ -249,7 +249,8 @@ def reference_gradient(setting, x, p, q, z):
     grad = np.zeros(z.size)
     S = np.zeros((prob.n_x, z.size))
     buf = tuple(np.empty((prob.n_x, z.size)) for _ in range(5))
-    stage_states = iter(np.array(records, dtype=float))
+    states = np.array(states, dtype=float)  # x0, then (x2, x3, x4, x_next) per substep
+    stage_states = iter([states[4 * k : 4 * k + 5] for k in range(len(states) // 4)])
     xj = x
     for j in range(design.n_pred):
         b = block_index(j, design.n_contr)
