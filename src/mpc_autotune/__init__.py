@@ -13,7 +13,6 @@ from .controller import (
     MpcSetting,
     OpenLoopResult,
     TimingSpec,
-    block_index,
     budget_excess,
     calibrate_c_eval,
     open_loop_cost,

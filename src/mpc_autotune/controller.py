@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import sensitivity
 from .design import DesignVector
-from .integration import PredictionGrid, PropagationError, hold_input, n_steps_for, rk4_kernel
+from .integration import PredictionGrid, PropagationError, floats, hold_input, n_steps_for, rk4_kernel
 from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
@@ -137,11 +138,6 @@ def budget_excess(t, budget: float):
     return t / budget - 1.0
 
 
-def block_index(j: int, n_contr: int) -> int:
-    """Input block used on horizon period j (tail periods freeze the last block)."""
-    return min(j, n_contr - 1)
-
-
 def shift_warm_start(z: Array, n_u: int) -> Array:
     """Receding-horizon shift: drop the first block, duplicate the last."""
     return np.concatenate([z[n_u:], z[-n_u:]])
@@ -169,14 +165,12 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     n_u, n_contr = prob.n_u, design.n_contr
     zl = z.tolist()
     u_blocks = [tuple(zl[b * n_u : (b + 1) * n_u]) for b in range(n_contr)]
-    # the input of each period; the tail periods reuse the last block (block_index)
+    # the input of each period; the tail periods reuse the last block
     period_inputs = u_blocks[: design.n_pred] + u_blocks[-1:] * (design.n_pred - n_contr)
     actives: list = []
     cost = 0.0
     steps = 0
-    # tuple() of a list, not of map(): CPython resizes a tuple built from an iterator
-    # and keeps each one freed on its free list, so memory grows with the passes
-    xt, pt, qt = (tuple(np.asarray(v, dtype=float).tolist()) for v in (x, p, q))
+    xt, pt, qt = floats(x), floats(p), floats(q)
     kernel = rk4_kernel(len(xt))
     states = [xt]
     penalty_weight = design.rho_constr
@@ -222,7 +216,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     columns of an n_x x n_z array padded with -0.0, which leaves every
     float it is added to unchanged, so a stage is one product and one add.
     Each recorded step propagates the sensitivity S = dx/dz through one RK4
-    step, and S is kept at every period boundary.
+    step, and S is kept at every period boundary (sensitivity.propagate).
 
     The gradient is a sum of terms, one row each: per period the stage
     cost's tau_u * (lx @ S) and its input part tau_u * lu, then for each
@@ -235,7 +229,6 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     states, actives = record
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h, n_steps = grid.tau_u, grid.tau_p, grid.n_steps
-    half, h6 = 0.5 * h, h / 6.0
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
     n_pred, n_contr = design.n_pred, design.n_contr
     blocks = z.reshape(n_contr, n_u)
@@ -249,22 +242,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     A_all, B_all = prob.rhs_jacobians(stage_states[:n_points], blocks[point_blocks], p)
     B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
-    A_stages = iter(A_all)
-    B_stages = iter(B_pad.reshape(n_points, n_x, n_z))
-    S = np.zeros((n_x, n_z))
-    S_at = np.zeros((n_pred + 1, n_x, n_z))  # S at the start of each period, and at the end
-    for j in range(1, n_pred + 1):
-        for _ in range(n_steps):
-            K1 = next(A_stages).dot(S)
-            K1 += next(B_stages)
-            K2 = next(A_stages).dot(K1 * half + S)
-            K2 += next(B_stages)
-            K3 = next(A_stages).dot(K2 * half + S)
-            K3 += next(B_stages)
-            K4 = next(A_stages).dot(K3 * h + S)
-            K4 += next(B_stages)
-            S += ((K2 + K3) * 2.0 + (K1 + K4)) * h6
-        S_at[j] = S
+    S_at = sensitivity.propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
+    S = S_at[n_pred]
 
     period_inputs = blocks[period_blocks]
     lx, lu = prob.stage_cost_grads(stage_states[: n_points : 4 * n_steps], period_inputs, p, q)

@@ -64,6 +64,16 @@ class PredictionGrid:
         return self.tau_u / self.n_steps
 
 
+def floats(v) -> State:
+    """v as a tuple of Python floats, the form the value callbacks get.
+
+    tuple() of a list, not of map() or a generator: CPython resizes a tuple
+    built from an iterator and keeps each one freed on the free list of its
+    new size, so memory would grow with the calls.
+    """
+    return tuple(np.asarray(v, dtype=float).tolist())
+
+
 @functools.lru_cache(maxsize=None)
 def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[State, State, State, State]]:
     """The RK4 step for states of length n, every component written out.
@@ -75,7 +85,10 @@ def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[Stat
     in x4 and (((k2[i] * 2.0 + k1[i]) + k3[i] * 2.0) + k4[i]) * (h / 6.0)
     + x[i] in x_next.  Written out, a step makes no comprehension frames,
     most of the cost of a loop over a short state.  The source is built
-    from the integer n alone, once per state length.
+    from the integer n alone, once per state length.  The kernel does not
+    check finiteness, and a float overflow may raise an ArithmeticError
+    (** raises OverflowError) instead of giving inf; callers read either as
+    divergence.
     """
 
     def names(letter: str) -> str:  # a, b, c, d: components of k1..k4; e: of x
@@ -105,19 +118,10 @@ def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[Stat
     return namespace[f"rk4_kernel_{n}"]
 
 
-def rk4_stages(rhs: Rhs, x: State, u: State, p: State, h: float) -> tuple[State, State, State, State]:
-    """One classical RK4 step under a constant input, without a finiteness
-    check: rk4_kernel(len(x)) applied once.  A float overflow may raise an
-    ArithmeticError (** raises OverflowError) instead of giving inf; callers
-    read it as divergence.
-    """
-    return rk4_kernel(len(x))(rhs, x, u, p, h)
-
-
 def rk4_step(rhs: Rhs, x: State, u: State, p: State, h: float) -> State:
     """One classical RK4 step under a constant input."""
     try:
-        x_next = rk4_stages(rhs, x, u, p, h)[3]
+        x_next = rk4_kernel(len(x))(rhs, x, u, p, h)[3]
     except ArithmeticError as err:
         raise PropagationError("state overflowed in an RK4 step") from err
     if not all(map(math.isfinite, x_next)):
@@ -134,8 +138,7 @@ def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: 
     the index of that step.
     """
     x = tuple(states[0].tolist())
-    u = tuple(map(float, u))
-    p = tuple(map(float, p))
+    u, p = floats(u), floats(p)
     for i in range(len(states) - 1):
         try:
             x = rk4_step(rhs, x, u, p, tau)

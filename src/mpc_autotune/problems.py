@@ -13,6 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .integration import floats
+
 Array = np.ndarray
 
 
@@ -109,7 +111,7 @@ class ProblemDefinition:
         leading axes of x and u as rhs_jac gets them."""
         if self.rhs_jac is not None:
             return self._checked("rhs_jac", self.rhs_jac(x, u, p), x, "n_x, n_x", "n_x, n_u")
-        pt = _floats(p)
+        pt = floats(p)
         return self._fd_stacked(lambda xt, ut: self.rhs(xt, ut, pt), x, u, self.n_x)
 
     def stage_cost_grads(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
@@ -117,14 +119,14 @@ class ProblemDefinition:
         stage_cost_grad gets them."""
         if self.stage_cost_grad is not None:
             return self._checked("stage_cost_grad", self.stage_cost_grad(x, u, p, q), x, "n_x", "n_u")
-        pt, qt = _floats(p), _floats(q)
+        pt, qt = floats(p), floats(q)
         lx, lu = self._fd_stacked(lambda xt, ut: (self.stage_cost(xt, ut, pt, qt),), x, u, 1)
         return lx[..., 0, :], lu[..., 0, :]
 
     def terminal_grad(self, x: Array, p: Array, q: Array) -> Array:
         if self.terminal_penalty_grad is not None:
             return self.terminal_penalty_grad(x, p, q)
-        pt, qt = _floats(p), _floats(q)
+        pt, qt = floats(p), floats(q)
         return _fd_jacobian(lambda v: (self.terminal_penalty_base(tuple(v.tolist()), pt, qt),), x, 1, self.fd_step)[0]
 
     def constraint_jacobians(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
@@ -132,7 +134,7 @@ class ProblemDefinition:
         as constraint_jac gets them."""
         if self.constraint_jac is not None:
             return self._checked("constraint_jac", self.constraint_jac(x, u, p, q), x, "n_c, n_x", "n_c, n_u")
-        pt, qt = _floats(p), _floats(q)
+        pt, qt = floats(p), floats(q)
         return self._fd_stacked(lambda xt, ut: self.constraint_map(xt, ut, pt, qt), x, u, self.n_c)
 
     def _checked(self, name: str, pair, x: Array, x_dims: str, u_dims: str) -> tuple[Array, Array]:
@@ -168,10 +170,6 @@ class ProblemDefinition:
             jx[i] = _fd_jacobian(lambda v: f(tuple(v.tolist()), ut), xi, n_out, self.fd_step)
             ju[i] = _fd_jacobian(lambda v: f(xt, tuple(v.tolist())), ui, n_out, self.fd_step)
         return jx, ju
-
-
-def _floats(v) -> tuple[float, ...]:
-    return tuple(map(float, v))
 
 
 def _fd_jacobian(f: Callable[[Array], Array], v: Array, n_out: int, step: float) -> Array:

@@ -6,6 +6,11 @@ import pytest
 from mpc_autotune import ClosedLoopReport, ProblemDefinition
 
 
+def block_index(j: int, n_contr: int) -> int:
+    """Input block used on horizon period j (tail periods freeze the last block)."""
+    return min(j, n_contr - 1)
+
+
 def integrator_problem(tau: float = 0.1) -> ProblemDefinition:
     """Scalar plant xdot = u with cost x^2 + u^2, terminal x^2, constraint x <= 0.8.
 
@@ -31,6 +36,33 @@ def integrator_problem(tau: float = 0.1) -> ProblemDefinition:
         stage_cost=lambda x, u, p, q: float(x[0] ** 2 + u[0] ** 2),
         terminal_penalty_base=lambda x, p, q: float(x[0] ** 2),
         name="integrator-toy",
+    )
+
+
+def double_integrator_problem() -> ProblemDefinition:
+    """Plant xdot = (x[1], u) with quadratic costs and the constraint
+    x[1] <= 0.8: two states and one input, so that one input block gives a
+    sensitivity of one column, which numpy multiplies with gemv."""
+    return ProblemDefinition(
+        n_x=2,
+        n_u=1,
+        n_p=1,
+        n_q=1,
+        n_c=1,
+        tau=0.1,
+        u_min=[-10.0],
+        u_max=[10.0],
+        x_min=[-2.0, -2.0],
+        x_max=[2.0, 2.0],
+        q_min=[0.0],
+        q_max=[0.0],
+        p_nom=[0.0],
+        p_std=[0.0],
+        rhs=lambda x, u, p: (x[1], u[0]),
+        constraint_map=lambda x, u, p, q: (x[1] - 0.8,),
+        stage_cost=lambda x, u, p, q: x[0] ** 2 + x[1] ** 2 + u[0] ** 2,
+        terminal_penalty_base=lambda x, p, q: x[0] ** 2 + x[1] ** 2,
+        name="double-integrator-toy",
     )
 
 

@@ -14,7 +14,6 @@ from mpc_autotune import (
     Scenario,
     TimingSpec,
     WORK_PER_RK_STEP,
-    block_index,
     budget_excess,
     calibrate_c_eval,
     open_loop_cost,
@@ -31,8 +30,9 @@ from mpc_autotune import (
     update_count,
 )
 
+from mpc_autotune import sensitivity
 from mpc_autotune.controller import _cost_pass, _grad_pass
-from conftest import integrator_problem, quadratic_problem
+from conftest import block_index, double_integrator_problem, integrator_problem, quadratic_problem
 
 COST_TIMING = TimingSpec(mode="cost-model", c_eval=1.0e-6)
 NO_PQ = (np.zeros(1), np.zeros(1))
@@ -274,17 +274,41 @@ def reference_gradient(setting, x, p, q, z):
     return grad + design.rho_f * (prob.terminal_grad(xj, p, q) @ S)
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def recurrence(request, monkeypatch):
+    """Runs a test's gradient passes on the compiled sensitivity recurrence
+    or on the numpy loop.  The self-check's verdicts start empty, so after
+    the test sensitivity._agreement holds a True for every size a pass ran
+    compiled, and stays empty on the numpy path."""
+    if request.param == "numpy":
+        monkeypatch.setattr(sensitivity, "load", lambda: None)
+    elif sensitivity.load() is None:
+        pytest.skip("the compiled recurrence cannot be built here")
+    monkeypatch.setattr(sensitivity, "_agreement", {})
+    return request.param
+
+
+GRADIENT_CASES = {
+    "analytic": (pvtol_problem(), DesignBounds(), 1000),
+    "finite-difference": (dataclasses.replace(pvtol_problem(), rhs_jac=None), DesignBounds(), 100),
+    # n_u = n_contr = 1, so n_z = 1: where a pairwise sum of the terms would differ;
+    # with n_x = 1, numpy multiplies the sensitivities as scalars
+    "single-input": (integrator_problem(), DesignBounds(n_contr=(1, 1)), 300),
+    # n_z = 1 on two states: numpy multiplies with gemv, not gemm
+    "single-input-gemv": (double_integrator_problem(), DesignBounds(n_contr=(1, 1)), 300),
+}
+
+
 @pytest.mark.parametrize(
-    "prob, bounds, draws",
+    "prob, bounds, draws, recurrence",
     [
-        (pvtol_problem(), DesignBounds(), 1000),
-        (dataclasses.replace(pvtol_problem(), rhs_jac=None), DesignBounds(), 100),
-        # n_u = n_contr = 1, so n_z = 1: where a pairwise sum of the terms would differ
-        (integrator_problem(), DesignBounds(n_contr=(1, 1)), 300),
+        pytest.param(*case, path, id=name if path == "compiled" else f"{name}-numpy")
+        for path in ("compiled", "numpy")
+        for name, case in GRADIENT_CASES.items()
     ],
-    ids=["analytic", "finite-difference", "single-input"],
+    indirect=["recurrence"],
 )
-def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws):
+def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws, recurrence):
     rng = np.random.default_rng(9)
     scenarios = generate_cloud(prob, 50, seed=9, duration=0.5)
     for n in range(draws):
@@ -295,7 +319,7 @@ def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws):
         args = (setting, scenario.x0, scenario.p, scenario.q, z)
         with np.errstate(over="ignore", invalid="ignore"):
             assert open_loop_gradient(*args).tobytes() == reference_gradient(*args).tobytes()
-
+    assert all(sensitivity._agreement.values()) and bool(sensitivity._agreement) == (recurrence == "compiled")
 
 
 def test_one_rhs_jac_call_per_gradient_pass():

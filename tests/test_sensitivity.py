@@ -1,0 +1,227 @@
+import dataclasses
+import json
+import os
+import shutil
+import stat
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mpc_autotune import (
+    DesignBounds,
+    MpcSetting,
+    RunConfig,
+    generate_cloud,
+    open_loop_gradient,
+    pvtol_problem,
+    realize,
+    run,
+    sample_shaping,
+    sensitivity,
+)
+
+PVTOL = pvtol_problem()
+TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
+
+
+@pytest.fixture
+def compiled():
+    run_pass = sensitivity.load()
+    if run_pass is None:
+        pytest.skip("the compiled recurrence cannot be built here")
+    return run_pass
+
+
+@pytest.fixture
+def fresh_build(tmp_path, monkeypatch):
+    """An empty library cache and a process that has loaded nothing yet;
+    returns a function listing the pids of the processes that compiled.
+    The log is a file, so that forked workers would add to it too."""
+    if shutil.which(sensitivity.CC) is None:
+        pytest.skip("no C compiler")
+    log = tmp_path / "compiles"
+    real = sensitivity._compile
+
+    def logged(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        real(*args)
+
+    monkeypatch.setattr(sensitivity, "_compile", logged)
+    monkeypatch.setattr(sensitivity, "cache_dir", lambda: tmp_path / "cache")
+    sensitivity.load.cache_clear()
+    yield lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+    sensitivity.load.cache_clear()
+
+
+def gradients(prob, draws=40):
+    """Gradients of random PVTOL-shaped passes, as bytes, with every
+    warning raised as an error."""
+    rng = np.random.default_rng(3)
+    scenarios = generate_cloud(prob, 5, seed=3, duration=0.5)
+    out = []
+    for n in range(draws):
+        setting = MpcSetting.from_design(prob, realize(sample_shaping(rng), rng.uniform(), DesignBounds()))
+        scenario = scenarios[n % len(scenarios)]
+        z = rng.uniform(*setting.z_bounds())
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out.append(open_loop_gradient(setting, scenario.x0, scenario.p, scenario.q, z).tobytes())
+    return out
+
+
+def numpy_gradients(prob, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity, "load", lambda: None)
+        return gradients(prob)
+
+
+@pytest.mark.parametrize("n_x, n_z", [(1, 1), (1, 3), (2, 1), (6, 1), (6, 2), (6, 29)])
+def test_compiled_recurrence_equals_the_numpy_loop_byte_for_byte(compiled, n_x, n_z):
+    # (1, 1) multiplies, (1, n) is numpy's axpy into zeros, (n, 1) gemv and the rest gemm
+    rng = np.random.default_rng(100 * n_x + n_z)
+    for _ in range(50):
+        n_pred, n_steps = rng.integers(1, 5, size=2).tolist()
+        n_points = 4 * n_pred * n_steps
+        A = rng.standard_normal((n_points, n_x, n_x))
+        B = rng.standard_normal((n_points, n_x, n_z))
+        for M in (A, B):  # zeros of both signs: the axpy rule skips a zero factor, even on inf
+            M[rng.random(M.shape) < 0.2] = 0.0
+            M[rng.random(M.shape) < 0.1] = -0.0
+        A[rng.random(A.shape) < 0.01] = np.inf
+        h = rng.uniform(0.01, 0.5)
+        with np.errstate(all="ignore"):
+            want = sensitivity.numpy_recurrence(A, B, n_pred, n_steps, h)
+            assert sensitivity._compiled(compiled, A, B, n_pred, n_steps, h).tobytes() == want.tobytes()
+
+
+def test_the_library_is_compiled_once_into_a_user_only_cache(tmp_path, fresh_build):
+    assert sensitivity.load() is not None
+    sensitivity.load.cache_clear()
+    assert sensitivity.load() is not None  # the second process-level load reads the cache
+    assert fresh_build() == [os.getpid()]
+    cache = tmp_path / "cache"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    assert [p.suffix for p in cache.iterdir()] == [".so"]  # no partial file is left behind
+
+
+def test_a_cache_others_can_write_is_not_used(tmp_path, fresh_build):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    cache.chmod(0o777)
+    assert sensitivity.load() is None
+    assert fresh_build() == [] and list(cache.iterdir()) == []
+
+
+def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, compiled, fresh_build, monkeypatch):
+    artifacts = []
+    for label in ("compiled", "no-compiler"):
+        out = tmp_path / label
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(RunConfig(**TINY, out_dir=str(out)))
+        artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
+        monkeypatch.setattr(sensitivity, "CC", "no-such-compiler")
+        sensitivity.load.cache_clear()
+    assert sensitivity.load() is None
+    assert artifacts[0] == artifacts[1]
+    assert fresh_build() == [os.getpid()]  # the compiled run's build; none without a compiler
+
+
+def test_a_missing_blas_symbol_keeps_the_numpy_path_without_compiling(fresh_build, monkeypatch):
+    # as with numpy on MKL or a system BLAS, whose routines have other names
+    want = numpy_gradients(PVTOL, monkeypatch)
+    monkeypatch.setattr(sensitivity, "BLAS_SYMBOLS", sensitivity.BLAS_SYMBOLS[:2] + ("no_such_cblas_daxpy",))
+    assert sensitivity.load() is None
+    assert gradients(PVTOL) == want
+    assert fresh_build() == []
+
+
+def test_a_self_check_mismatch_keeps_the_numpy_path(compiled, monkeypatch):
+    want = numpy_gradients(PVTOL, monkeypatch)
+    real = sensitivity._compiled
+
+    def one_ulp_off(*args):
+        S_at = real(*args)
+        S_at[-1, 0, 0] = np.nextafter(S_at[-1, 0, 0], np.inf)
+        return S_at
+
+    monkeypatch.setattr(sensitivity, "_compiled", one_ulp_off)
+    monkeypatch.setattr(sensitivity, "_agreement", {})
+    assert gradients(PVTOL) == want
+    assert sensitivity._agreement and not any(sensitivity._agreement.values())
+
+
+def test_a_transposed_jacobian_keeps_the_numpy_path(compiled, monkeypatch):
+    def transposed_rhs_jac(x, u, p):
+        A, B = PVTOL.rhs_jac(x, u, p)
+        return np.ascontiguousarray(np.swapaxes(A, -1, -2)).swapaxes(-1, -2), B  # equal values, not C-contiguous
+
+    prob = dataclasses.replace(PVTOL, rhs_jac=transposed_rhs_jac)
+    want = numpy_gradients(prob, monkeypatch)
+    monkeypatch.setattr(sensitivity, "_agreement", {})
+    assert gradients(prob) == want
+    assert sensitivity._agreement == {}  # no pass got as far as the self-check
+
+
+def test_a_pooled_run_builds_the_library_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
+    passes = tmp_path / "passes"
+    real = sensitivity._compiled
+
+    def logged(*args):
+        with open(passes, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(sensitivity, "_compiled", logged)
+    monkeypatch.setattr(sensitivity, "_agreement", {})
+    run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
+    assert fresh_build() == [os.getpid()]
+    # the parent self-checked every size a candidate can have; the workers ran the passes
+    assert sorted(sensitivity._agreement) == [(6, 2 * n) for n in range(1, RunConfig().n_contr_max + 1)]
+    assert all(sensitivity._agreement.values())
+    assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
+
+
+OTHER_KERNEL_CHECK = """
+import ctypes, json
+import numpy as np
+from numpy._core import _multiarray_umath
+from mpc_autotune import sensitivity
+
+corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+run = sensitivity.load()
+rng = np.random.default_rng(1)
+same = []
+for n_z in (1, 2, 4, 29):
+    A = rng.standard_normal((48, 6, 6)) / 6
+    B = rng.standard_normal((48, 6, n_z))
+    got = sensitivity._compiled(run, A, B, 4, 3, 0.1).tobytes()
+    same.append(sensitivity._agrees(run, 6, n_z) and got == sensitivity.numpy_recurrence(A, B, 4, 3, 0.1).tobytes())
+print(json.dumps({"core": corename().decode(), "same": same}))
+"""
+
+
+def test_the_self_check_passes_under_another_blas_kernel(compiled):
+    """OPENBLAS_CORETYPE, set for a child process only, picks another
+    kernel, whose bits differ from the FMA kernels' (ROADMAP, "Float
+    environment"); the compiled recurrence follows numpy there too."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        pytest.skip("numpy does not report its BLAS build")
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        pytest.skip("numpy's BLAS is not an OpenBLAS built for several kernels")
+    src = str(Path(sensitivity.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", OTHER_KERNEL_CHECK], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    result = json.loads(done.stdout)
+    assert result["core"].lower() == "sandybridge"
+    assert result["same"] == [True] * 4
