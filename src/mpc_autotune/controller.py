@@ -18,14 +18,13 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from . import sensitivity
+from . import costpass, sensitivity
 from .design import DesignVector
-from .integration import PredictionGrid, PropagationError, floats, hold_input, n_steps_for, rk4_kernel
+from .integration import PredictionGrid, PropagationError, floats, hold_input, n_steps_for
 from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
@@ -146,59 +145,23 @@ def shift_warm_start(z: Array, n_u: int) -> Array:
 def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, tuple]:
     """Objective value, the number of RK steps spent, and the pass record.
 
-    Returns inf on divergence.  Finiteness is checked once per updating
-    period through the accumulated cost (any non-finite state poisons the
-    stage cost or the penalty), which keeps the per-substep loop lean.  The
-    pass runs wholly on tuples of floats: the state between RK steps, the
-    input block of each period, p and q, which every value callback gets.
-    The constraint values are walked once; a value counts towards the
-    penalty unless it is <= 0, so a NaN makes the pass diverge.  The record
-    is (states, actives): states holds the initial state and then the
-    stage states and the result (x2, x3, x4, x_next) of every substep, so
-    entries 4k to 4k + 3 are the stage points of substep k; actives holds
-    the indices of each period's active constraints (empty when n_c is 0).
-    A gradient pass over the same decision vector reuses both.
+    Returns inf on divergence.  The pass up to the terminal penalty runs
+    compiled or in Python (costpass.runner), with the same bytes; the
+    terminal penalty is one Python call on the final state as a tuple of
+    floats, and a non-finite final state diverges too.  The record is
+    (states, mask) as costpass describes them; a gradient pass over the
+    same decision vector reuses both.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
-    rhs, stage_cost, constraint_map, n_steps = prob.rhs, prob.stage_cost, prob.constraint_map, grid.n_steps
-    tau_u, h = grid.tau_u, grid.tau_p
-    n_u, n_contr = prob.n_u, design.n_contr
-    zl = z.tolist()
-    u_blocks = [tuple(zl[b * n_u : (b + 1) * n_u]) for b in range(n_contr)]
-    # the input of each period; the tail periods reuse the last block
-    period_inputs = u_blocks[: design.n_pred] + u_blocks[-1:] * (design.n_pred - n_contr)
-    actives: list = []
-    cost = 0.0
-    steps = 0
-    xt, pt, qt = floats(x), floats(p), floats(q)
-    kernel = rk4_kernel(len(xt))
-    states = [xt]
-    penalty_weight = design.rho_constr
-    for ut in period_inputs:
-        cost += stage_cost(xt, ut, pt, qt) * tau_u
-        try:
-            for _ in range(n_steps):
-                stages = kernel(rhs, xt, ut, pt, h)
-                states.extend(stages)
-                xt = stages[3]
-        except ArithmeticError:  # a float overflow in rhs: the period diverged and is charged whole
-            return math.inf, steps + n_steps, (states, actives)
-        steps += n_steps
-        if prob.n_c:
-            penalty = 0.0
-            active = []
-            for i, v in enumerate(constraint_map(xt, ut, pt, qt)):
-                if not v <= 0.0:
-                    penalty += v
-                    active.append(i)
-            actives.append(active)
-            cost += penalty_weight * penalty * tau_u
-        if not math.isfinite(cost):
-            return math.inf, steps, (states, actives)
-    cost += design.rho_f * prob.terminal_penalty_base(xt, pt, qt)
-    if not (math.isfinite(cost) and all(map(math.isfinite, xt))):
-        return math.inf, steps, (states, actives)
-    return cost, steps, (states, actives)
+    cost, steps, states, mask = costpass.runner(prob)(
+        prob, x, p, q, z, design.n_pred, design.n_contr, grid.n_steps, grid.tau_p, grid.tau_u, design.rho_constr
+    )
+    if math.isfinite(cost):
+        xt = tuple(states[-1].tolist())
+        cost += design.rho_f * prob.terminal_penalty_base(xt, floats(p), floats(q))
+        if not (math.isfinite(cost) and all(map(math.isfinite, xt))):
+            cost = math.inf
+    return cost, steps, (states, mask)
 
 
 def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> float:
@@ -210,11 +173,11 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     """Exact gradient of the objective via forward sensitivities.
 
     record must come from a finite cost pass at the same state and decision
-    vector; its states are reused, read into one array, and one
-    rhs_jacobians call on all 4 * n_pred * n_steps stage points gives their
-    Jacobians.  Each stage's B is scattered ahead of time into its block's
-    columns of an n_x x n_z array padded with -0.0, which leaves every
-    float it is added to unchanged, so a stage is one product and one add.
+    vector; its states array is reused, and one rhs_jacobians call on all
+    4 * n_pred * n_steps stage points gives their Jacobians.  Each stage's
+    B is scattered ahead of time into its block's columns of an n_x x n_z
+    array padded with -0.0, which leaves every float it is added to
+    unchanged, so a stage is one product and one add.
     Each recorded step propagates the sensitivity S = dx/dz through one RK4
     step, and S is kept at every period boundary (sensitivity.propagate).
 
@@ -226,35 +189,32 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     constraint, with stacked products, and are summed in that order by one
     sequential accumulate from +0.0; input parts are rows padded with -0.0.
     """
-    states, actives = record
+    states, mask = record
     prob, design, grid = setting.problem, setting.design, setting.grid
     tau_u, h, n_steps = grid.tau_u, grid.tau_p, grid.n_steps
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
     n_pred, n_contr = design.n_pred, design.n_contr
     blocks = z.reshape(n_contr, n_u)
     n_points = 4 * n_pred * n_steps
-    assert len(states) == n_points + 1
-    # row 4k is the state substep k starts from and rows 4k to 4k + 3 its stage points
-    stage_states = np.fromiter(chain.from_iterable(states), float, n_x * (n_points + 1)).reshape(-1, n_x)
+    assert len(states) == n_points + 1  # row 4k: the state step k starts from; rows 4k to 4k + 3: its stage points
     period_blocks = np.minimum(np.arange(n_pred), n_contr - 1)
     # the input block of each stage point: 4 stages per step, n_steps steps per period
     point_blocks = np.repeat(period_blocks, 4 * n_steps)
-    A_all, B_all = prob.rhs_jacobians(stage_states[:n_points], blocks[point_blocks], p)
+    A_all, B_all = prob.rhs_jacobians(states[:n_points], blocks[point_blocks], p)
     B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
     S_at = sensitivity.propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
     S = S_at[n_pred]
 
     period_inputs = blocks[period_blocks]
-    lx, lu = prob.stage_cost_grads(stage_states[: n_points : 4 * n_steps], period_inputs, p, q)
+    lx, lu = prob.stage_cost_grads(states[: n_points : 4 * n_steps], period_inputs, p, q)
     # the active constraints as (period, index) pairs, in period order; the
     # constraint Jacobians come only at the periods with one, and slot k
     # holds the k-th such period
-    act_periods = np.array([j for j, active in enumerate(actives) if active], dtype=np.intp)
-    pair_slot = [k for k, j in enumerate(act_periods.tolist()) for _ in actives[j]]
-    pair_index = list(chain.from_iterable(actives))
-    pair_period = act_periods[pair_slot]
-    n_pairs = len(pair_index)
+    act_periods = np.flatnonzero(mask.any(1))
+    pair_period, pair_index = np.nonzero(mask)
+    pair_slot = np.searchsorted(act_periods, pair_period)
+    n_pairs = pair_index.size
     n_before = np.searchsorted(pair_period, np.arange(n_pred))  # pairs of the earlier periods
     stage_rows = 1 + 2 * (np.arange(n_pred) + n_before)
     terms = np.full((2 * (n_pred + n_pairs) + 2, n_contr, n_u), -0.0)
@@ -264,13 +224,13 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     terms[stage_rows + 1, period_blocks] = tau_u * lu
     if n_pairs:
         Cx, Cu = prob.constraint_jacobians(
-            stage_states[4 * n_steps * (act_periods + 1)], period_inputs[act_periods], p, q
+            states[4 * n_steps * (act_periods + 1)], period_inputs[act_periods], p, q
         )
         scale = design.rho_constr * tau_u
         pair_rows = 1 + 2 * (pair_period + 1 + np.arange(n_pairs))
         flat_terms[pair_rows] = scale * np.matmul(Cx[pair_slot, pair_index][:, None, :], S_at[pair_period + 1])[:, 0]
         terms[pair_rows + 1, period_blocks[pair_period]] = scale * Cu[pair_slot, pair_index]
-    flat_terms[-1] = design.rho_f * (prob.terminal_grad(stage_states[-1], p, q) @ S)
+    flat_terms[-1] = design.rho_f * (prob.terminal_grad(states[-1], p, q) @ S)
     return np.cumsum(flat_terms, axis=0)[-1]
 
 
@@ -497,13 +457,19 @@ def simulate_closed_loop(
 
 
 def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:
-    """Seconds per RK stage evaluation, measured by timing rhs calls made as
-    the RK4 kernel makes them, with x, u and p as tuples of floats."""
-    x = tuple((0.5 * (problem.x_min + problem.x_max)).tolist())
-    u = tuple((problem.u_trim if problem.u_trim is not None else 0.5 * (problem.u_min + problem.u_max)).tolist())
-    p = tuple(problem.p_nom.tolist())
-    problem.rhs(x, u, p)  # warm any lazy setup before timing
-    t0 = time.perf_counter()
-    for _ in range(n):
-        problem.rhs(x, u, p)
-    return (time.perf_counter() - t0) / n
+    """Seconds per RK stage evaluation, measured by timing cost passes as
+    solves run them, compiled or in Python, on a fixed nominal setting:
+    a mid-range design from the midpoints of the state and exogenous boxes,
+    at p_nom and the default warm start.  About n stage evaluations are timed."""
+    design = DesignVector(kappa=4, mu_d=0.5, n_pred=10, n_contr=3, rho_f=10.0, rho_constr=1.0e4, max_iter=10)
+    setting = MpcSetting.from_design(problem, design)
+    x, q = 0.5 * (problem.x_min + problem.x_max), 0.5 * (problem.q_min + problem.q_max)
+    z = setting.default_warm_start()
+    passes = max(1, round(n / (WORK_PER_RK_STEP * design.n_pred * setting.grid.n_steps)))
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _cost_pass(setting, x, problem.p_nom, q, z)  # warm any lazy setup, the compiled pass's among it
+        t0 = time.perf_counter()
+        for _ in range(passes):
+            steps += _cost_pass(setting, x, problem.p_nom, q, z)[1]
+    return (time.perf_counter() - t0) / (WORK_PER_RK_STEP * steps)

@@ -48,6 +48,23 @@ class ProblemDefinition:
     are those of x; a single point has none.  A gradient pass makes one
     call of each on all the points it needs.  terminal_penalty_grad(x, p, q)
     gets one point, as an array, and returns shape (n_x,).
+
+    c_source, optional, is C text defining the three value callbacks a cost
+    pass calls, with these signatures (arrays of n_x, n_u, n_p, n_q and n_c
+    doubles; <math.h> is included before it):
+
+        void rhs(const double *x, const double *u, const double *p, double *dx);
+        double stage_cost(const double *x, const double *u, const double *p, const double *q);
+        void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c);
+
+    They must compute the same floats as rhs, stage_cost and constraint_map
+    do, operation for operation (Python evaluates a + b * c + d as
+    (a + (b * c)) + d; math.sin is libm's sin); constraint_map is still
+    defined, with an empty body, when n_c is 0.  Given it, the cost pass
+    runs in one compiled call (costpass.py), once a self-check per process
+    has found the Python pass's bytes on random passes; otherwise, and
+    without a C compiler, the Python callbacks run.  The terminal penalty
+    and the derivatives stay in Python.
     """
 
     n_x: int
@@ -75,6 +92,7 @@ class ProblemDefinition:
     constraint_jac: Callable[[Array, Array, Array, Array], tuple[Array, Array]] | None = None
     name: str = ""
     fd_step: float = 1.0e-6
+    c_source: str | None = None
 
     def __post_init__(self) -> None:
         for dim, label in ((self.n_x, "n_x"), (self.n_u, "n_u"), (self.n_p, "n_p"), (self.n_q, "n_q")):

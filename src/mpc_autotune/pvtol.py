@@ -113,6 +113,40 @@ def pvtol_constraints(x: tuple, u: tuple, p: tuple, q: tuple) -> tuple[float, ..
     return (theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4)
 
 
+# the three value callbacks above in C, operation for operation, for the
+# compiled cost pass (ProblemDefinition.c_source); the weights are written
+# with repr, which round-trips every float
+PVTOL_C_SOURCE = f"""
+void rhs(const double *x, const double *u, const double *p, double *dx)
+{{
+    const double s = sin(x[2]), c = cos(x[2]);
+    const double p1u2 = p[0] * u[1];
+    dx[0] = x[3];
+    dx[1] = x[4];
+    dx[2] = x[5];
+    dx[3] = -u[0] * s + p1u2 * c;
+    dx[4] = u[0] * c + p1u2 * s - 1.0;
+    dx[5] = p[1] * u[1];
+}}
+
+double stage_cost(const double *x, const double *u, const double *p, const double *q)
+{{
+    const double d0 = x[0] - q[0], d1 = x[1] - q[1], e0 = u[0] - 1.0;
+    return {_Q0!r} * d0 * d0 + {_Q1!r} * d1 * d1 + {_Q2!r} * x[2] * x[2]
+        + {_Q3!r} * x[3] * x[3] + {_Q4!r} * x[4] * x[4] + {_Q5!r} * x[5] * x[5]
+        + {_R0!r} * e0 * e0 + {_R1!r} * u[1] * u[1];
+}}
+
+void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c)
+{{
+    c[0] = x[5] - q[2];
+    c[1] = -x[5] - q[2];
+    c[2] = x[2] - q[3];
+    c[3] = -x[2] - q[3];
+}}
+"""
+
+
 _CX_CONST = np.zeros((4, 6))
 _CX_CONST[0, 5] = 1.0
 _CX_CONST[1, 5] = -1.0
@@ -169,6 +203,7 @@ def pvtol_problem(
         terminal_penalty_grad=pvtol_terminal_grad,
         constraint_jac=pvtol_constraint_jac,
         name="pvtol",
+        c_source=PVTOL_C_SOURCE,
     )
 
 

@@ -2,33 +2,29 @@
 
 propagate runs it in one call to the C function in sensitivity.c, whose
 products call the CBLAS routines numpy's own .dot calls, so its bits equal
-numpy_recurrence's.  The library is compiled once per host with the C
-compiler cc and cached in a user-only directory, keyed by the source, the
-flags and the compiler's file.  numpy_recurrence, the reference loop,
-runs instead when there is no compiler, when numpy's BLAS lacks the ILP64
-scipy-openblas routines (an MKL or a system BLAS), when the build fails,
-when the Jacobians are not a C-contiguous float64 array, or when the
-self-check finds a byte mismatch for the problem's sizes.
+numpy_recurrence's.  The library is compiled once per host and cached
+(cbuild.library).  numpy_recurrence, the reference loop, runs instead when
+there is no compiler, when numpy's BLAS lacks the ILP64 scipy-openblas
+routines (an MKL or a system BLAS), when the build fails, when the
+Jacobians are not a C-contiguous float64 array, or when the self-check
+finds a byte mismatch for the problem's sizes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import shutil
 import subprocess
-import tempfile
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cbuild
+
 Array = np.ndarray
 
 SOURCE = Path(__file__).with_name("sensitivity.c")
-CC = "cc"
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # gemm, gemv and axpy, as numpy's bundled scipy-openblas (64-bit integers) exports them
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_")
@@ -127,7 +123,7 @@ def load() -> Callable | None:
 
         numpy_blas = ctypes.CDLL(_multiarray_umath.__file__)
         routines = [ctypes.cast(getattr(numpy_blas, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
-        library = _library()
+        library = cbuild.library("sensitivity", SOURCE.read_bytes(), FLAGS)
         if library is None:
             return None
         run = ctypes.CDLL(str(library)).sensitivity_pass
@@ -136,43 +132,3 @@ def load() -> Callable | None:
     run.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4
     run.restype = None
     return functools.partial(run, *routines)
-
-
-def cache_dir() -> Path:
-    return Path.home() / ".cache" / "mpc-autotune"
-
-
-def _library() -> Path | None:
-    """The compiled library's path in the cache, compiled first if missing;
-    None without a compiler or a cache directory only this user can write."""
-    cc = shutil.which(CC)
-    if cc is None:
-        return None
-    # the compiler is named by its file, not by running `cc --version`: a load
-    # from the cache starts no process, whose ru_maxrss would read as the
-    # parent's peak (exec records the parent's high-water mark in the child)
-    compiler = Path(cc).resolve()
-    identity = f"{compiler} {compiler.stat().st_size} {compiler.stat().st_mtime_ns}"
-    key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), identity.encode()])).hexdigest()
-    directory = cache_dir()
-    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-    status = directory.stat()
-    if status.st_uid != os.getuid() or status.st_mode & 0o077:
-        return None  # another user could put a library there
-    library = directory / f"sensitivity-{key[:16]}.so"
-    if not library.exists():
-        _compile(cc, library)
-    return library
-
-
-def _compile(cc: str, library: Path) -> None:
-    """Compile the source into library, through a temporary file and an
-    atomic rename, so that a concurrent reader never sees a partial file."""
-    fd, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
-    os.close(fd)
-    try:
-        subprocess.run([cc, *FLAGS, "-o", partial, str(SOURCE)], capture_output=True, check=True, timeout=120)
-        os.replace(partial, library)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)

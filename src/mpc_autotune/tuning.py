@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sensitivity
+from . import costpass, sensitivity
 from .controller import ClosedLoopReport, MpcSetting, TimingSpec, budget_excess, simulate_closed_loop
 from .design import DesignBounds, DesignVector, ShapingVector, realize
 from .integration import rk4_kernel
@@ -365,10 +365,11 @@ def tune(
     records: list[CandidateRecord] = []
     solve_count = 0
     pool = None
-    # compiled on a host's first run, loaded and self-checked for every
-    # decision-vector size before any solve is timed, and before the fork,
-    # so that the workers inherit it all and never compile
+    # compiled on a host's first run, loaded and self-checked (the
+    # recurrence for every decision-vector size) before any solve is timed,
+    # and before the fork, so that the workers inherit it all and never compile
     sensitivity.prepare(problem.n_x, [problem.n_u * n for n in range(1, bounds.n_contr[1] + 1)])
+    costpass.runner(problem)
     try:
         if jobs > 1 and len(shapings) > 1:
             # built before the fork, the kernel is inherited; a worker that

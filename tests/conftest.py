@@ -1,9 +1,11 @@
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
 
-from mpc_autotune import ClosedLoopReport, ProblemDefinition
+from mpc_autotune import ClosedLoopReport, ProblemDefinition, cbuild, costpass, sensitivity
 
 
 def block_index(j: int, n_contr: int) -> int:
@@ -94,6 +96,87 @@ def quadratic_problem(u_span: float = 10.0) -> ProblemDefinition:
     )
 
 
+def oscillator_problem() -> ProblemDefinition:
+    """A damped oscillator xdot = (x[1], -x[0] - 0.5 * x[1] + p[0] * u[0])
+    with quadratic costs and no constraint (n_c = 0), and its value
+    callbacks in C."""
+    return ProblemDefinition(
+        n_x=2,
+        n_u=1,
+        n_p=1,
+        n_q=1,
+        n_c=0,
+        tau=0.05,
+        u_min=[-5.0],
+        u_max=[5.0],
+        x_min=[-2.0, -2.0],
+        x_max=[2.0, 2.0],
+        q_min=[0.0],
+        q_max=[1.0],
+        p_nom=[1.0],
+        p_std=[0.2],
+        rhs=lambda x, u, p: (x[1], -x[0] - 0.5 * x[1] + p[0] * u[0]),
+        constraint_map=lambda x, u, p, q: (),
+        stage_cost=lambda x, u, p, q: (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0],
+        terminal_penalty_base=lambda x, p, q: x[0] * x[0] + x[1] * x[1],
+        name="oscillator-toy",
+        c_source="""
+void rhs(const double *x, const double *u, const double *p, double *dx)
+{
+    dx[0] = x[1];
+    dx[1] = -x[0] - 0.5 * x[1] + p[0] * u[0];
+}
+double stage_cost(const double *x, const double *u, const double *p, const double *q)
+{
+    return (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0];
+}
+void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c) {}
+""",
+    )
+
+
+def cubic_problem() -> ProblemDefinition:
+    """Plant xdot = x^3 + u, written with multiplications only, so that a
+    pass from a large state overflows to inf (and on to NaN) as Python's
+    floats do, without raising; constraint x <= 1.  Its value callbacks
+    are in C too."""
+    return ProblemDefinition(
+        n_x=1,
+        n_u=1,
+        n_p=1,
+        n_q=1,
+        n_c=1,
+        tau=0.1,
+        u_min=[-10.0],
+        u_max=[10.0],
+        x_min=[-3.0],
+        x_max=[3.0],
+        q_min=[0.0],
+        q_max=[0.0],
+        p_nom=[0.0],
+        p_std=[0.0],
+        rhs=lambda x, u, p: (x[0] * x[0] * x[0] + u[0],),
+        constraint_map=lambda x, u, p, q: (x[0] - 1.0,),
+        stage_cost=lambda x, u, p, q: x[0] * x[0] + u[0] * u[0],
+        terminal_penalty_base=lambda x, p, q: x[0] * x[0],
+        name="cubic-toy",
+        c_source="""
+void rhs(const double *x, const double *u, const double *p, double *dx)
+{
+    dx[0] = x[0] * x[0] * x[0] + u[0];
+}
+double stage_cost(const double *x, const double *u, const double *p, const double *q)
+{
+    return x[0] * x[0] + u[0] * u[0];
+}
+void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c)
+{
+    c[0] = x[0] - 1.0;
+}
+""",
+    )
+
+
 def point_pvtol_rhs_jac(x, u, p):
     """PVTOL's Jacobians at one point, written with math.sin and math.cos: a
     callback that indexes x[2] and so cannot take stacked points."""
@@ -181,6 +264,36 @@ def stub_report(
         n_solves=m if stopped_at is None else stopped_at + 1,
         stopped_at=stopped_at,
     )
+
+
+@pytest.fixture
+def fresh_build(tmp_path, monkeypatch):
+    """An empty library cache and a process that has loaded nothing yet;
+    returns a function listing the pids of the processes that compiled a
+    library, the sensitivity recurrence unless another stem is named.  The
+    log is a file, so that forked workers would add to it too."""
+    if shutil.which(cbuild.CC) is None:
+        pytest.skip("no C compiler")
+    log = tmp_path / "compiles"
+    real = cbuild._compile
+
+    def logged(cc, args, text, path):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {path.name.split('-')[0]}\n")
+        real(cc, args, text, path)
+
+    def compiles(stem="sensitivity"):
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [int(pid) for pid, built in map(str.split, lines) if built == stem]
+
+    monkeypatch.setattr(cbuild, "_compile", logged)
+    monkeypatch.setattr(cbuild, "cache_dir", lambda: tmp_path / "cache")
+    monkeypatch.setattr(costpass, "_runners", {})
+    sensitivity.load.cache_clear()
+    costpass.load.cache_clear()
+    yield compiles
+    sensitivity.load.cache_clear()
+    costpass.load.cache_clear()
 
 
 @pytest.fixture

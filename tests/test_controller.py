@@ -30,7 +30,7 @@ from mpc_autotune import (
     update_count,
 )
 
-from mpc_autotune import sensitivity
+from mpc_autotune import controller, costpass, sensitivity
 from mpc_autotune.controller import _cost_pass, _grad_pass
 from conftest import block_index, double_integrator_problem, integrator_problem, quadratic_problem
 
@@ -364,7 +364,7 @@ def test_per_period_callbacks_are_called_once_per_gradient_pass():
             shapes.clear()
         _grad_pass(setting, scenario.p, scenario.q, z, record)
         # the cost pass recorded the active constraints, so constraint_map is not called again
-        active_periods = sum(map(bool, record[1]))
+        active_periods = int(record[1].any(1).sum())
         assert calls == {"stage_cost_grad": [(design.n_pred, 6)], "constraint_map": [],
                          "constraint_jac": [(active_periods, 6)] if active_periods else []}
         n_active_passes += active_periods > 0
@@ -467,7 +467,10 @@ def test_wallclock_time_is_positive_and_repeats_agree():
 
 
 def count_rhs_calls(timing):
+    # on the Python cost pass, where every cost pass calls rhs; a compiled
+    # pass calls it only in its self-check (test_compiled_passes_...)
     prob, setting = pvtol_setting()
+    prob.c_source = None
     calls = 0
     rhs = prob.rhs
 
@@ -487,6 +490,39 @@ def test_cost_model_runs_once_and_wallclock_runs_each_repeat():
     assert once > 0
     assert count_rhs_calls(TimingSpec("cost-model", c_eval=1.0e-6, repeats=3)) == once
     assert count_rhs_calls(TimingSpec("wallclock", repeats=3)) == 3 * once
+
+
+def counting(counts, key, fn):
+    def wrapper(*args):
+        counts[key] += 1
+        return fn(*args)
+    return wrapper
+
+
+def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
+    # the compiled counterpart of the test above: once the self-check has
+    # run the Python pass, every cost pass of a solve is one compiled call,
+    # and neither the Python pass nor rhs runs again
+    prob, setting = pvtol_setting()
+    real = costpass.load(prob.c_source)
+    if real is None:
+        pytest.skip("the compiled cost pass cannot be built here")
+    counts = dict.fromkeys(("compiled", "python", "rhs", "cost passes"), 0)
+    monkeypatch.setattr(costpass, "load", lambda c_source: counting(counts, "compiled", real))
+    monkeypatch.setattr(costpass, "_runners", {})
+    monkeypatch.setattr(costpass, "python_pass", counting(counts, "python", costpass.python_pass))
+    monkeypatch.setattr(controller, "_cost_pass", counting(counts, "cost passes", controller._cost_pass))
+    prob.rhs = counting(counts, "rhs", prob.rhs)
+    assert costpass.runner(prob) is not costpass.python_pass
+    assert counts["compiled"] == counts["python"] > 0 and counts["rhs"] > 0 and counts["cost passes"] == 0
+    x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
+    passes = []
+    for timing in (COST_TIMING, TimingSpec("cost-model", c_eval=1.0e-6, repeats=3), TimingSpec("wallclock", repeats=3)):
+        counts.update(dict.fromkeys(counts, 0))
+        solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), timing)
+        assert counts["compiled"] == counts["cost passes"] > 0 and counts["python"] == counts["rhs"] == 0
+        passes.append(counts["cost passes"])
+    assert passes[1] == passes[0] and passes[2] == 3 * passes[0]
 
 
 # closed loop -----------------------------------------------------------------------
@@ -639,9 +675,23 @@ def test_report_json_roundtrip():
 # calibration -----------------------------------------------------------------------
 
 
-def test_calibrate_c_eval_is_positive_and_small():
-    c = calibrate_c_eval(pvtol_problem(), n=2000)
-    assert 0.0 < c < 1e-3
+def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
+    # it times cost passes on the path solves take: compiled for PVTOL where
+    # the pass builds, in Python without c_source
+    paths = []
+
+    def recording(setting, *args):
+        paths.append(costpass.runner(setting.problem))
+        return _cost_pass(setting, *args)
+
+    monkeypatch.setattr(controller, "_cost_pass", recording)
+    python_pvtol = dataclasses.replace(pvtol_problem(), c_source=None)
+    for prob in (pvtol_problem(), python_pvtol):
+        paths.clear()
+        c = calibrate_c_eval(prob, n=2000)
+        assert 0.0 < c < 1e-3
+        assert len(paths) > 10 and len(set(paths)) == 1
+        assert (paths[0] is costpass.python_pass) == (prob is python_pvtol or costpass.load(prob.c_source) is None)
 
 
 def test_rhs_gets_tuples_of_floats_everywhere():
@@ -668,8 +718,9 @@ def test_rhs_gets_x_u_and_p_as_tuples_of_floats():
     # a tiny tuning run, a closed-loop simulation, the calibration and the
     # finite-difference fallbacks all call the value callbacks (rhs,
     # stage_cost, terminal_penalty_base, constraint_map) with x, u, p and q
-    # as tuples of floats, as the RK4 kernel calls rhs
-    prob = pvtol_problem()
+    # as tuples of floats, as the RK4 kernel calls rhs; on the Python cost
+    # pass, as a compiled pass calls them only in its self-check
+    prob = dataclasses.replace(pvtol_problem(), c_source=None)
     calls = {"rhs": [], "stage_cost": [], "terminal_penalty_base": [], "constraint_map": []}
 
     def recording(name):

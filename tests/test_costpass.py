@@ -1,0 +1,179 @@
+import dataclasses
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mpc_autotune import RunConfig, pvtol_problem, run
+from mpc_autotune import cbuild, costpass, pvtol
+from conftest import cubic_problem, oscillator_problem
+
+PVTOL = pvtol_problem()
+TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
+
+
+def compiled_pass(prob):
+    run_pass = costpass.load(prob.c_source)
+    if run_pass is None:
+        pytest.skip("the compiled cost pass cannot be built here")
+    return costpass._compiled_pass(run_pass, prob)
+
+
+def random_passes(prob, rng, draws, x_scale=1.0):
+    """Arguments of random passes: tail periods (n_contr < n_pred), 1 to 10
+    steps per period, inputs from the whole box, states from the box
+    scaled by x_scale, and penalty weights over seven decades."""
+    for _ in range(draws):
+        n_pred = int(rng.integers(1, 13))
+        n_contr = int(rng.integers(1, n_pred + 1))
+        n_steps = int(rng.integers(1, 11))
+        tau_u = float(prob.tau * rng.integers(1, 11))
+        yield (
+            prob,
+            x_scale * rng.uniform(prob.x_min, prob.x_max),
+            prob.p_nom + prob.p_std * rng.standard_normal(prob.n_p),
+            rng.uniform(prob.q_min, prob.q_max),
+            rng.uniform(np.tile(prob.u_min, n_contr), np.tile(prob.u_max, n_contr)),
+            n_pred, n_contr, n_steps, tau_u / n_steps, tau_u, float(10.0 ** rng.uniform(0.0, 7.0)),
+        )
+
+
+def assert_same(want, got):
+    cost, steps, states, mask = want
+    assert float(got[0]).hex() == float(cost).hex()
+    assert got[1] == steps
+    assert got[2][: len(states)].tobytes() == states.tobytes()
+    assert got[3].dtype == np.int8 and got[3].tobytes() == mask.tobytes()
+
+
+def test_compiled_pass_equals_the_python_pass_byte_for_byte_on_pvtol():
+    compiled = compiled_pass(PVTOL)
+    rng = np.random.default_rng(31)
+    seen = {"tail": 0, "active": 0, "large angle": 0}
+    # states up to 2000 times the sampling box: |theta| up to 1e3, where sin and cos reduce their argument
+    for x_scale in (1.0, 20.0, 2000.0):
+        for args in random_passes(PVTOL, rng, 150, x_scale):
+            want = costpass.python_pass(*args)
+            got = compiled(*args)
+            assert_same(want, got)
+            assert math.isfinite(want[0]) and got[2].shape == (4 * args[5] * args[7] + 1, 6)
+            seen["tail"] += args[6] < args[5]
+            seen["active"] += bool(want[3].any())
+            seen["large angle"] += abs(args[1][2]) > 100.0
+    assert all(n > 50 for n in seen.values()), seen
+
+
+def test_compiled_pass_equals_the_python_pass_without_constraints():
+    prob = oscillator_problem()
+    compiled = compiled_pass(prob)
+    for args in random_passes(prob, np.random.default_rng(32), 200, x_scale=3.0):
+        want = costpass.python_pass(*args)
+        assert want[3].shape == (args[5], 0)
+        assert_same(want, compiled(*args))
+    assert costpass.runner(prob) is not costpass.python_pass
+
+
+def test_an_overflowing_pass_diverges_with_the_same_steps():
+    prob = cubic_problem()
+    compiled = compiled_pass(prob)
+    diverged = 0
+    for args in random_passes(prob, np.random.default_rng(33), 300, x_scale=10.0):
+        with np.errstate(all="ignore"):
+            want = costpass.python_pass(*args)
+        assert_same(want, compiled(*args))
+        diverged += want[0] == math.inf
+    assert 50 < diverged < 300
+
+
+def test_a_changed_constant_fails_the_self_check(fresh_build):
+    altered = dataclasses.replace(PVTOL, c_source=PVTOL.c_source.replace("- 1.0;", "- 1.0000000000000002;"))
+    assert altered.c_source != PVTOL.c_source
+    if costpass.load(altered.c_source) is None:
+        pytest.skip("the compiled cost pass cannot be built here")
+    assert costpass.runner(altered) is costpass.python_pass
+    assert costpass.runner(PVTOL) is not costpass.python_pass
+    # the key holds the callbacks: a replaced rhs is checked anew, and fails
+    assert costpass.runner(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
+        is costpass.python_pass
+
+
+def tiny_artifacts(out: Path, **changes) -> list[bytes]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(RunConfig(**{**TINY, **changes}, out_dir=str(out)))
+    return [(out / name).read_bytes() for name in ("settings.csv", "trace.json")]
+
+
+def ran_compiled() -> bool:
+    (pass_,) = set(costpass._runners.values())
+    return pass_ is not costpass.python_pass
+
+
+def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypatch):
+    want = tiny_artifacts(tmp_path / "compiled")
+    assert ran_compiled() and fresh_build("costpass") == [os.getpid()]
+
+    def fresh():
+        monkeypatch.setattr(costpass, "_runners", {})
+        costpass.load.cache_clear()
+
+    # a c_source with one constant changed: built, but the self-check fails
+    fresh()
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", pvtol.PVTOL_C_SOURCE.replace("- 1.0;", "- 1.0000000000000002;"))
+    assert tiny_artifacts(tmp_path / "mismatch") == want and not ran_compiled()
+    # a c_source that does not compile: nothing is left in the cache
+    fresh()
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", pvtol.PVTOL_C_SOURCE + "\nnot C at all\n")
+    cached = sorted((tmp_path / "cache").iterdir())
+    assert tiny_artifacts(tmp_path / "failed-build") == want and not ran_compiled()
+    assert sorted((tmp_path / "cache").iterdir()) == cached
+    assert fresh_build("costpass") == [os.getpid()] * 3
+    # no compiler
+    fresh()
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
+    monkeypatch.setattr(cbuild, "CC", "no-such-compiler")
+    assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled()
+    assert fresh_build("costpass") == [os.getpid()] * 3
+
+
+def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
+    passes = tmp_path / "passes"
+    real = costpass._compiled_pass
+
+    def logged(*args):
+        compiled = real(*args)
+
+        def logging_pass(*pass_args):
+            with open(passes, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return compiled(*pass_args)
+        return logging_pass
+
+    monkeypatch.setattr(costpass, "_compiled_pass", logged)
+    run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
+    assert fresh_build("costpass") == [os.getpid()]
+    assert ran_compiled()  # the parent self-checked; the workers ran the passes
+    assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
+
+
+NO_LAZY_NUMPY_MA = """
+import sys
+from mpc_autotune import RunConfig, run
+run(RunConfig(**{tiny!r}, out_dir=sys.argv[1]))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_tuning_run_does_not_import_numpy_ma(tmp_path):
+    """numpy.ma is imported on first use by functions such as np.unique; a
+    run that did so would hold about a megabyte more."""
+    src = str(Path(costpass.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NO_LAZY_NUMPY_MA.format(tiny=TINY), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import shutil
 import stat
 import subprocess
 import sys
@@ -23,6 +22,7 @@ from mpc_autotune import (
     sample_shaping,
     sensitivity,
 )
+from mpc_autotune import cbuild, costpass
 
 PVTOL = pvtol_problem()
 TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
@@ -34,28 +34,6 @@ def compiled():
     if run_pass is None:
         pytest.skip("the compiled recurrence cannot be built here")
     return run_pass
-
-
-@pytest.fixture
-def fresh_build(tmp_path, monkeypatch):
-    """An empty library cache and a process that has loaded nothing yet;
-    returns a function listing the pids of the processes that compiled.
-    The log is a file, so that forked workers would add to it too."""
-    if shutil.which(sensitivity.CC) is None:
-        pytest.skip("no C compiler")
-    log = tmp_path / "compiles"
-    real = sensitivity._compile
-
-    def logged(*args):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        real(*args)
-
-    monkeypatch.setattr(sensitivity, "_compile", logged)
-    monkeypatch.setattr(sensitivity, "cache_dir", lambda: tmp_path / "cache")
-    sensitivity.load.cache_clear()
-    yield lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
-    sensitivity.load.cache_clear()
 
 
 def gradients(prob, draws=40):
@@ -125,8 +103,10 @@ def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, compiled, f
             warnings.simplefilter("error")
             run(RunConfig(**TINY, out_dir=str(out)))
         artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
-        monkeypatch.setattr(sensitivity, "CC", "no-such-compiler")
+        monkeypatch.setattr(cbuild, "CC", "no-such-compiler")
+        monkeypatch.setattr(costpass, "_runners", {})
         sensitivity.load.cache_clear()
+        costpass.load.cache_clear()
     assert sensitivity.load() is None
     assert artifacts[0] == artifacts[1]
     assert fresh_build() == [os.getpid()]  # the compiled run's build; none without a compiler
