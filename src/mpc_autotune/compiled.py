@@ -1,0 +1,328 @@
+"""The compiled passes: the cost pass and the sensitivity recurrence.
+
+Two loops of a solve run in one call to a C function each, with the bytes
+of their reference here, which stays the fallback: python_pass, the cost
+pass up to the terminal penalty through the problem's Python callbacks
+(costpass.c, with the problem's c_source in place of its marker line), and
+numpy_recurrence, the forward-sensitivity recurrence of a gradient pass
+(sensitivity.c, whose products call the CBLAS routines numpy's .dot calls).
+
+Both share one lifecycle.  load compiles a C text with cc into CACHE, a
+directory only its owner may write, under a name keyed by the text, the
+flags and the compiler's file, and binds its C function once per process.
+A self-check compares a compiled pass byte for byte with its reference on
+random passes, once per process for each key, and _verdicts keeps the pass
+that runs.  The reference runs on any failure: no compiler, no C file, a
+failed build, a missing symbol (numpy's BLAS routines too, as with MKL or a
+system BLAS) or a mismatch.  warm_up does all of it ahead of a run.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import math
+import os
+import shutil
+import subprocess
+import tempfile
+from itertools import chain
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .integration import floats, overflowed, rk4_kernel
+from .problems import ProblemDefinition
+
+Array = np.ndarray
+
+CC = "cc"
+CACHE = Path("~") / ".cache" / "mpc-autotune"  # the home directory is looked up at the first build
+SOURCES = Path(__file__).parent  # costpass.c and sensitivity.c
+MARKER = b"/* @c_source@ */"  # where a problem's C text goes in costpass.c
+BINDINGS = {  # stem: (flags, libraries, C function, its argument types and result type)
+    "costpass": (("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"), ("-lm",), "cost_pass",
+                 [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
+    "sensitivity": (("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), "sensitivity_pass",
+                    [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4, None),
+}
+# gemm, gemv and axpy, as numpy's bundled scipy-openblas (64-bit integers) exports them
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_")
+
+
+def python_pass(
+    problem: ProblemDefinition, x, p, q, z: Array, n_pred: int, n_contr: int, n_steps: int, h: float,
+    tau_u: float, rho_constr: float,
+) -> tuple[float, int, Array, Array]:
+    """The cost pass on tuples of floats, which every value callback gets:
+    the state between RK steps, the input block of each period (the tail
+    periods reuse the last block), p and q.
+
+    Finiteness is checked once per period through the accumulated cost (any
+    non-finite state poisons the stage cost or the penalty), which keeps the
+    per-step loop lean.  The constraint values are walked once; a value
+    counts towards the penalty unless it is <= 0, so a NaN makes the pass
+    diverge.  A callback that raises an ArithmeticError (a float overflow),
+    or a ValueError on an overflowed state (a math-domain error), diverges
+    its period too, which is charged whole, as the compiled pass charges it.
+
+    Returns (cost, steps, states, mask): the cost before the terminal
+    penalty (inf on divergence); the RK steps spent; the initial state, then
+    the stages and result (x2, x3, x4, x_next) of every step, so rows 4k to
+    4k + 3 are the stage points of step k; and an int8 (n_pred, n_c) mask of
+    each period's active constraints.  After a divergence only the rows and
+    periods the pass reached are filled.
+    """
+    rhs, stage_cost, constraint_map, n_u, n_c = (
+        problem.rhs, problem.stage_cost, problem.constraint_map, problem.n_u, problem.n_c)
+    zl = z.tolist()
+    u_blocks = [tuple(zl[b * n_u : (b + 1) * n_u]) for b in range(n_contr)]
+    period_inputs = u_blocks[:n_pred] + u_blocks[-1:] * (n_pred - n_contr)
+    mask = np.zeros((n_pred, n_c), np.int8)
+    cost = 0.0
+    steps = 0
+    xt, pt, qt = floats(x), floats(p), floats(q)
+    kernel = rk4_kernel(len(xt))
+    states = [xt]
+    for j, ut in enumerate(period_inputs):
+        try:
+            cost += stage_cost(xt, ut, pt, qt) * tau_u
+            for _ in range(n_steps):
+                stages = kernel(rhs, xt, ut, pt, h)
+                states.extend(stages)
+                xt = stages[3]
+            if n_c:
+                penalty = 0.0
+                for i, v in enumerate(constraint_map(xt, ut, pt, qt)):
+                    if not v <= 0.0:
+                        penalty += v
+                        mask[j, i] = 1
+                cost += rho_constr * penalty * tau_u
+        except (ArithmeticError, ValueError) as err:
+            if isinstance(err, ValueError) and all(map(math.isfinite, xt)) and not overflowed(rhs, xt, ut, pt, h):
+                raise
+            cost = math.inf
+        steps += n_steps
+        if not math.isfinite(cost):
+            cost = math.inf
+            break
+    n_x = len(xt)
+    return cost, steps, np.fromiter(chain.from_iterable(states), float, len(states) * n_x).reshape(-1, n_x), mask
+
+
+def numpy_recurrence(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
+    """S = dx/dz at the start of each period, and at the end.
+
+    A_all and B_all hold the Jacobians of 4 * n_pred * n_steps stage points
+    in step order, each B scattered into its block's columns of an
+    n_x x n_z array; each step propagates S through one RK4 step.
+    """
+    half, h6 = 0.5 * h, h / 6.0
+    n_x, n_z = B_all.shape[1:]
+    A_stages = iter(A_all)
+    B_stages = iter(B_all)
+    S = np.zeros((n_x, n_z))
+    S_at = np.zeros((n_pred + 1, n_x, n_z))
+    for j in range(1, n_pred + 1):
+        for _ in range(n_steps):
+            K1 = next(A_stages).dot(S)
+            K1 += next(B_stages)
+            K2 = next(A_stages).dot(K1 * half + S)
+            K2 += next(B_stages)
+            K3 = next(A_stages).dot(K2 * half + S)
+            K3 += next(B_stages)
+            K4 = next(A_stages).dot(K3 * h + S)
+            K4 += next(B_stages)
+            S += ((K2 + K3) * 2.0 + (K1 + K4)) * h6
+        S_at[j] = S
+    return S_at
+
+
+def cost_pass_for(problem: ProblemDefinition) -> Callable:
+    """The pass that runs this problem's cost passes, with python_pass's
+    arguments: the compiled one once its self-check agreed, else
+    python_pass; decided once per process for each c_source, callbacks and
+    sizes."""
+    if problem.c_source is None:
+        return python_pass
+    key = ("costpass", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map,
+           problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
+    return _verdicts.get(key) or _settle(key, python_pass, lambda: _bind_cost_pass(problem), _pass_draws(problem))
+
+
+def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
+    """numpy_recurrence's result, from the compiled recurrence where it runs
+    (not for Jacobians that are not C-contiguous float64 arrays); decided
+    once per process for each n_x and n_z."""
+    n_points, n_x, n_z = B_all.shape
+    if A_all.shape == (n_points, n_x, n_x) and n_points == 4 * n_pred * n_steps and all(
+        a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned for a in (A_all, B_all)
+    ):
+        return _recurrence_for(n_x, n_z)(A_all, B_all, n_pred, n_steps, h)
+    return numpy_recurrence(A_all, B_all, n_pred, n_steps, h)
+
+
+def warm_up(problem: ProblemDefinition, n_zs: Sequence[int]) -> None:
+    """Build, load and self-check the recurrence for each n_z and the cost
+    pass for this problem, and build the RK4 kernel for its state.  tune
+    calls it before any solve is timed and before it forks its workers, so
+    that they inherit it all and never compile."""
+    for n_z in n_zs:
+        _recurrence_for(problem.n_x, n_z)
+    cost_pass_for(problem)
+    rk4_kernel(problem.n_x)
+
+
+def _recurrence_for(n_x: int, n_z: int) -> Callable:
+    key = ("sensitivity", n_x, n_z)
+    return _verdicts.get(key) or _settle(key, numpy_recurrence, _bind_recurrence, _recurrence_draws(n_x, n_z))
+
+
+_verdicts: dict[tuple, Callable] = {}  # key -> the pass that runs
+
+
+def _settle(key: tuple, reference: Callable, bind: Callable[[], Callable | None], draws: Iterable[tuple]) -> Callable:
+    """Keep, for key, the compiled pass bind gives if it gives the
+    reference's bytes on every draw of arguments, else the reference."""
+    compiled = bind()
+    with np.errstate(all="ignore"):
+        same = compiled is not None and all(_same(reference(*args), compiled(*args)) for args in draws)
+    found = _verdicts[key] = compiled if same else reference
+    return found
+
+
+def _same(want, got) -> bool:
+    """Whether got has want's bytes: all of a recurrence's; a cost pass's
+    cost, steps, the states want reached, and mask."""
+    if isinstance(want, np.ndarray):
+        return got.tobytes() == want.tobytes()
+    cost, steps, states, mask = want
+    return (float(cost).hex() == float(got[0]).hex() and steps == got[1]
+            and states.tobytes() == got[2][: len(states)].tobytes() and mask.tobytes() == got[3].tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def load(stem: str, c_source: str = "") -> Callable | None:
+    """The typed C function of stem.c, compiled with c_source in place of
+    its marker line, or None where it cannot be had: no compiler, no C
+    file, a cache directory another user could write, a failed build (which
+    leaves nothing in the cache) or a missing symbol.  Looked up once per
+    process; the compiler runs only when the cache does not hold the
+    library yet."""
+    cc = shutil.which(CC)
+    if cc is None:
+        return None
+    flags, libs, symbol, argtypes, restype = BINDINGS[stem]
+    try:
+        head, _, tail = (SOURCES / f"{stem}.c").read_bytes().partition(MARKER)
+        text = head + c_source.encode() + tail
+        # the compiler is named by its file, not by running `cc --version`: a load
+        # from the cache starts no process, whose ru_maxrss would read as the
+        # parent's peak (exec records the parent's high-water mark in the child)
+        compiler = Path(cc).resolve()
+        identity = f"{compiler} {compiler.stat().st_size} {compiler.stat().st_mtime_ns}"
+        key = hashlib.sha256(b"\0".join([text, " ".join([*flags, *libs]).encode(), identity.encode()])).hexdigest()
+        cache = CACHE.expanduser()
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        status = cache.stat()
+        if status.st_uid != os.getuid() or status.st_mode & 0o077:
+            return None  # another user could put a library there
+        path = cache / f"{stem}-{key[:16]}.so"
+        if not path.exists():
+            _compile(cc, [*flags, "-x", "c", "-", *libs], text, path)
+        function = getattr(ctypes.CDLL(str(path)), symbol)
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+def _compile(cc: str, args: list[str], text: bytes, path: Path) -> None:
+    """Compile the text, read from standard input, into path, through a
+    temporary file and an atomic rename, so that a concurrent reader never
+    sees a partial file."""
+    fd, partial = tempfile.mkstemp(suffix=".so", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([cc, "-o", partial, *args], input=text, capture_output=True, check=True, timeout=120)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _bind_cost_pass(problem: ProblemDefinition) -> Callable | None:
+    """The compiled cost pass of this problem, with python_pass's arguments."""
+    run = load("costpass", problem.c_source)
+    if run is None:
+        return None
+    n_x, n_u, n_p, n_q, n_c = problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c
+    n_given = n_x + n_p + n_q
+
+    def compiled_pass(problem, x, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
+        # one buffer, so one address per pass (reading an array's address
+        # costs about a microsecond): x, p, q and z, then the cost, the
+        # states and the mask, as costpass.c lays them out
+        n_in = n_given + n_contr * n_u
+        rows = 4 * n_pred * n_steps + 1
+        end = n_in + 1 + rows * n_x
+        buf = np.empty(end + (n_pred * n_c + 7) // 8)
+        buf[:n_in] = np.concatenate((x, p, q, z))
+        steps = run(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, buf.ctypes.data)
+        states = buf[n_in + 1 : end].reshape(rows, n_x)
+        mask = buf[end:].view(np.int8)[: n_pred * n_c].reshape(n_pred, n_c)
+        return buf.item(n_in), steps, states, mask
+
+    return compiled_pass
+
+
+def _bind_recurrence() -> Callable | None:
+    """The compiled recurrence, with numpy_recurrence's arguments and numpy's
+    BLAS routines bound; numpy's BLAS is looked up before anything is built."""
+    try:
+        from numpy._core import _multiarray_umath  # numpy's BLAS is among its dependencies
+
+        numpy_blas = ctypes.CDLL(_multiarray_umath.__file__)
+        routines = [ctypes.cast(getattr(numpy_blas, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
+    except (ImportError, OSError, AttributeError):
+        return None
+    run = load("sensitivity")
+    return None if run is None else functools.partial(_compiled_recurrence, functools.partial(run, *routines))
+
+
+def _compiled_recurrence(run: Callable, A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
+    n_x, n_z = B_all.shape[1:]
+    S_at = np.zeros((n_pred + 1, n_x, n_z))
+    work = np.empty(5 * n_x * n_z)
+    run(n_pred, n_steps, n_x, n_z, h, A_all.ctypes.data, B_all.ctypes.data, S_at.ctypes.data, work.ctypes.data)
+    return S_at
+
+
+def _pass_draws(problem: ProblemDefinition) -> Iterator[tuple]:
+    """The self-check's cost passes: random ones from the problem's boxes,
+    with tail periods, several steps per period and penalty weights over six
+    decades."""
+    rng = np.random.default_rng(2024)
+    for n_pred, n_contr, n_steps in ((1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 3, 1), (5, 2, 4), (6, 6, 2)):
+        tau_u = float(problem.tau * rng.integers(1, 11))
+        yield (
+            problem,
+            rng.uniform(problem.x_min, problem.x_max),
+            problem.p_nom + problem.p_std * rng.standard_normal(problem.n_p),
+            rng.uniform(problem.q_min, problem.q_max),
+            rng.uniform(np.tile(problem.u_min, n_contr), np.tile(problem.u_max, n_contr)),
+            n_pred, n_contr, n_steps, tau_u / n_steps, tau_u, float(10.0 ** rng.uniform(0.0, 6.0)),
+        )
+
+
+def _recurrence_draws(n_x: int, n_z: int) -> Iterator[tuple]:
+    """The self-check's recurrences: random ones with these sizes."""
+    rng = np.random.default_rng(n_x * 1000 + n_z)
+    for n_pred, n_steps in ((1, 1), (2, 3), (3, 2), (4, 1), (2, 4)):
+        n_points = 4 * n_pred * n_steps
+        A = rng.standard_normal((n_points, n_x, n_x)) / n_x  # of norm about 2 at most: S stays finite
+        B = rng.standard_normal((n_points, n_x, n_z))
+        B[rng.random(B.shape) < 0.5] = -0.0  # as the padding of the other blocks' columns
+        yield A, B, n_pred, n_steps, rng.uniform(0.01, 0.5)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import costpass, sensitivity
+from . import compiled
 from .design import DesignVector
 from .integration import PredictionGrid, PropagationError, floats, hold_input, n_steps_for
 from .problems import ProblemDefinition, Scenario
@@ -30,6 +30,7 @@ from .problems import ProblemDefinition, Scenario
 Array = np.ndarray
 
 ARMIJO_SLOPE = 1.0e-4
+G_TOL = 1.0e-8  # a projected gradient no larger ends the descent
 BACKTRACK_SHRINK = 0.5
 MAX_BACKTRACKS = 40
 WORK_PER_RK_STEP = 4  # RK4 stage evaluations per step
@@ -146,14 +147,14 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     """Objective value, the number of RK steps spent, and the pass record.
 
     Returns inf on divergence.  The pass up to the terminal penalty runs
-    compiled or in Python (costpass.runner), with the same bytes; the
+    compiled or in Python (compiled.cost_pass_for), with the same bytes; the
     terminal penalty is one Python call on the final state as a tuple of
     floats, and a non-finite final state diverges too.  The record is
-    (states, mask) as costpass describes them; a gradient pass over the
+    (states, mask) as python_pass describes them; a gradient pass over the
     same decision vector reuses both.
     """
     prob, design, grid = setting.problem, setting.design, setting.grid
-    cost, steps, states, mask = costpass.runner(prob)(
+    cost, steps, states, mask = compiled.cost_pass_for(prob)(
         prob, x, p, q, z, design.n_pred, design.n_contr, grid.n_steps, grid.tau_p, grid.tau_u, design.rho_constr
     )
     if math.isfinite(cost):
@@ -179,7 +180,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     array padded with -0.0, which leaves every float it is added to
     unchanged, so a stage is one product and one add.
     Each recorded step propagates the sensitivity S = dx/dz through one RK4
-    step, and S is kept at every period boundary (sensitivity.propagate).
+    step, and S is kept at every period boundary (compiled.propagate).
 
     The gradient is a sum of terms, one row each: per period the stage
     cost's tau_u * (lx @ S) and its input part tau_u * lu, then for each
@@ -203,7 +204,7 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     A_all, B_all = prob.rhs_jacobians(states[:n_points], blocks[point_blocks], p)
     B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
     B_pad[np.arange(n_points), :, point_blocks] = B_all
-    S_at = sensitivity.propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
+    S_at = compiled.propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
     S = S_at[n_pred]
 
     period_inputs = blocks[period_blocks]
@@ -254,7 +255,6 @@ def _descend(
     z: Array,
     z_lo: Array,
     z_hi: Array,
-    g_tol: float,
     over_budget: Callable[[int], bool] | None,
 ) -> tuple[Array, float, int, int, bool]:
     """Projected-gradient descent with Armijo backtracking inside the input box.
@@ -286,7 +286,7 @@ def _descend(
         if not np.all(np.isfinite(grad)):
             break
         projected = z - np.clip(z - grad, z_lo, z_hi)
-        if float(np.max(np.abs(projected))) <= g_tol:
+        if float(np.max(np.abs(projected))) <= G_TOL:
             break
         iterations += 1
 
@@ -327,7 +327,6 @@ def solve(
     q: Array,
     z0: Array,
     timing: TimingSpec,
-    g_tol: float = 1.0e-8,
     budget: float | None = None,
 ) -> OpenLoopResult:
     """Solve one OCP from the warm start z0, clipped into the input box, and
@@ -361,7 +360,7 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(repeats):  # every repeat returns the same result
             t0 = time.perf_counter()
-            z_opt, cost, iters, rk_steps, diverged = _descend(setting, x, p, q, z, z_lo, z_hi, g_tol, over_budget)
+            z_opt, cost, iters, rk_steps, diverged = _descend(setting, x, p, q, z, z_lo, z_hi, over_budget)
             times.append(time.perf_counter() - t0)
     work = WORK_PER_RK_STEP * rk_steps
     solver_time = c_eval * work if timing.mode == "cost-model" else statistics.median(times)

@@ -87,7 +87,8 @@ def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[Stat
     most of the cost of a loop over a short state.  The source is built
     from the integer n alone, once per state length.  The kernel does not
     check finiteness, and a float overflow may raise an ArithmeticError
-    (** raises OverflowError) instead of giving inf; callers read either as
+    (** raises OverflowError) instead of giving inf, and an rhs on an
+    overflowed state a ValueError (see overflowed); callers read either as
     divergence.
     """
 
@@ -118,11 +119,26 @@ def rk4_kernel(n: int) -> Callable[[Rhs, State, State, State, float], tuple[Stat
     return namespace[f"rk4_kernel_{n}"]
 
 
+def overflowed(rhs: Rhs, x: State, u: State, p: State, h: float) -> bool:
+    """Whether the RK4 step from x raises a ValueError from an rhs call on a
+    non-finite state, as math.sin does on inf (a math-domain error).  The
+    step is run again with the states rhs gets recorded, so that a ValueError
+    on a finite state (the wrong length returned, say) is not read as one."""
+    got = []
+    try:
+        rk4_kernel(len(x))(lambda *args: got.append(args[0]) or rhs(*args), x, u, p, h)
+    except ValueError:
+        return not all(map(math.isfinite, got[-1]))
+    return False
+
+
 def rk4_step(rhs: Rhs, x: State, u: State, p: State, h: float) -> State:
     """One classical RK4 step under a constant input."""
     try:
         x_next = rk4_kernel(len(x))(rhs, x, u, p, h)[3]
-    except ArithmeticError as err:
+    except (ArithmeticError, ValueError) as err:
+        if isinstance(err, ValueError) and not overflowed(rhs, x, u, p, h):
+            raise
         raise PropagationError("state overflowed in an RK4 step") from err
     if not all(map(math.isfinite, x_next)):
         raise PropagationError("non-finite state after RK4 step")

@@ -17,6 +17,8 @@ from .integration import floats
 
 Array = np.ndarray
 
+FD_STEP = 1.0e-6  # relative step of the central differences
+
 
 def _as_vector(v, n: int, name: str) -> Array:
     arr = np.asarray(v, dtype=float).reshape(-1)
@@ -61,7 +63,7 @@ class ProblemDefinition:
     do, operation for operation (Python evaluates a + b * c + d as
     (a + (b * c)) + d; math.sin is libm's sin); constraint_map is still
     defined, with an empty body, when n_c is 0.  Given it, the cost pass
-    runs in one compiled call (costpass.py), once a self-check per process
+    runs in one compiled call (compiled.py), once a self-check per process
     has found the Python pass's bytes on random passes; otherwise, and
     without a C compiler, the Python callbacks run.  The terminal penalty
     and the derivatives stay in Python.
@@ -91,7 +93,6 @@ class ProblemDefinition:
     terminal_penalty_grad: Callable[[Array, Array, Array], Array] | None = None
     constraint_jac: Callable[[Array, Array, Array, Array], tuple[Array, Array]] | None = None
     name: str = ""
-    fd_step: float = 1.0e-6
     c_source: str | None = None
 
     def __post_init__(self) -> None:
@@ -145,7 +146,7 @@ class ProblemDefinition:
         if self.terminal_penalty_grad is not None:
             return self.terminal_penalty_grad(x, p, q)
         pt, qt = floats(p), floats(q)
-        return _fd_jacobian(lambda v: (self.terminal_penalty_base(tuple(v.tolist()), pt, qt),), x, 1, self.fd_step)[0]
+        return _fd_jacobian(lambda v: (self.terminal_penalty_base(tuple(v.tolist()), pt, qt),), x, 1)[0]
 
     def constraint_jacobians(self, x: Array, u: Array, p: Array, q: Array) -> tuple[Array, Array]:
         """d constraint_map/dx and d constraint_map/du, for stacked points
@@ -185,15 +186,15 @@ class ProblemDefinition:
         for i in np.ndindex(lead):
             xi, ui = x[i], u[i]
             xt, ut = tuple(xi.tolist()), tuple(ui.tolist())
-            jx[i] = _fd_jacobian(lambda v: f(tuple(v.tolist()), ut), xi, n_out, self.fd_step)
-            ju[i] = _fd_jacobian(lambda v: f(xt, tuple(v.tolist())), ui, n_out, self.fd_step)
+            jx[i] = _fd_jacobian(lambda v: f(tuple(v.tolist()), ut), xi, n_out)
+            ju[i] = _fd_jacobian(lambda v: f(xt, tuple(v.tolist())), ui, n_out)
         return jx, ju
 
 
-def _fd_jacobian(f: Callable[[Array], Array], v: Array, n_out: int, step: float) -> Array:
+def _fd_jacobian(f: Callable[[Array], Array], v: Array, n_out: int) -> Array:
     jac = np.empty((n_out, v.size))
     for i in range(v.size):
-        h = step * max(1.0, abs(v[i]))
+        h = FD_STEP * max(1.0, abs(v[i]))
         vp = v.copy()
         vm = v.copy()
         vp[i] += h

@@ -20,10 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import costpass, sensitivity
+from . import compiled
 from .controller import ClosedLoopReport, MpcSetting, TimingSpec, budget_excess, simulate_closed_loop
 from .design import DesignBounds, DesignVector, ShapingVector, realize
-from .integration import rk4_kernel
 from .problems import ProblemDefinition, Scenario, ScenarioBatchSet
 
 # record status values
@@ -365,16 +364,11 @@ def tune(
     records: list[CandidateRecord] = []
     solve_count = 0
     pool = None
-    # compiled on a host's first run, loaded and self-checked (the
-    # recurrence for every decision-vector size) before any solve is timed,
-    # and before the fork, so that the workers inherit it all and never compile
-    sensitivity.prepare(problem.n_x, [problem.n_u * n for n in range(1, bounds.n_contr[1] + 1)])
-    costpass.runner(problem)
+    # before any solve is timed and before the fork, so that the workers inherit it all: one
+    # that compiled even the RK4 kernel would page CPython's compiler in, about 0.7 MB of peak RSS
+    compiled.warm_up(problem, [problem.n_u * n for n in range(1, bounds.n_contr[1] + 1)])
     try:
         if jobs > 1 and len(shapings) > 1:
-            # built before the fork, the kernel is inherited; a worker that
-            # compiled it would page the compiler in, about 0.7 MB of peak RSS each
-            rk4_kernel(problem.n_x)
             pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker, initargs=task_args)
             outcomes = _in_order_failing_fast([pool.submit(_certify_in_worker, s) for s in shapings])

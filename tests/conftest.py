@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mpc_autotune import ClosedLoopReport, ProblemDefinition, cbuild, costpass, sensitivity
+from mpc_autotune import ClosedLoopReport, ProblemDefinition, compiled
 
 
 def block_index(j: int, n_contr: int) -> int:
@@ -272,10 +272,10 @@ def fresh_build(tmp_path, monkeypatch):
     returns a function listing the pids of the processes that compiled a
     library, the sensitivity recurrence unless another stem is named.  The
     log is a file, so that forked workers would add to it too."""
-    if shutil.which(cbuild.CC) is None:
+    if shutil.which(compiled.CC) is None:
         pytest.skip("no C compiler")
     log = tmp_path / "compiles"
-    real = cbuild._compile
+    real = compiled._compile
 
     def logged(cc, args, text, path):
         with open(log, "a") as f:
@@ -286,14 +286,12 @@ def fresh_build(tmp_path, monkeypatch):
         lines = log.read_text().splitlines() if log.exists() else []
         return [int(pid) for pid, built in map(str.split, lines) if built == stem]
 
-    monkeypatch.setattr(cbuild, "_compile", logged)
-    monkeypatch.setattr(cbuild, "cache_dir", lambda: tmp_path / "cache")
-    monkeypatch.setattr(costpass, "_runners", {})
-    sensitivity.load.cache_clear()
-    costpass.load.cache_clear()
+    monkeypatch.setattr(compiled, "_compile", logged)
+    monkeypatch.setattr(compiled, "CACHE", tmp_path / "cache")
+    monkeypatch.setattr(compiled, "_verdicts", {})
+    compiled.load.cache_clear()
     yield compiles
-    sensitivity.load.cache_clear()
-    costpass.load.cache_clear()
+    compiled.load.cache_clear()
 
 
 @pytest.fixture

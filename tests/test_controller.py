@@ -30,7 +30,7 @@ from mpc_autotune import (
     update_count,
 )
 
-from mpc_autotune import controller, costpass, sensitivity
+from mpc_autotune import compiled, controller
 from mpc_autotune.controller import _cost_pass, _grad_pass
 from conftest import block_index, double_integrator_problem, integrator_problem, quadratic_problem
 
@@ -277,14 +277,15 @@ def reference_gradient(setting, x, p, q, z):
 @pytest.fixture(params=["compiled", "numpy"])
 def recurrence(request, monkeypatch):
     """Runs a test's gradient passes on the compiled sensitivity recurrence
-    or on the numpy loop.  The self-check's verdicts start empty, so after
-    the test sensitivity._agreement holds a True for every size a pass ran
-    compiled, and stays empty on the numpy path."""
+    or on the numpy loop.  The verdicts start empty, so after the test
+    compiled._verdicts holds a recurrence verdict for every size a pass ran,
+    the compiled recurrence on the compiled path and numpy_recurrence on the
+    numpy path."""
     if request.param == "numpy":
-        monkeypatch.setattr(sensitivity, "load", lambda: None)
-    elif sensitivity.load() is None:
+        monkeypatch.setattr(compiled, "_bind_recurrence", lambda: None)
+    elif compiled._bind_recurrence() is None:
         pytest.skip("the compiled recurrence cannot be built here")
-    monkeypatch.setattr(sensitivity, "_agreement", {})
+    monkeypatch.setattr(compiled, "_verdicts", {})
     return request.param
 
 
@@ -319,7 +320,8 @@ def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws, rec
         args = (setting, scenario.x0, scenario.p, scenario.q, z)
         with np.errstate(over="ignore", invalid="ignore"):
             assert open_loop_gradient(*args).tobytes() == reference_gradient(*args).tobytes()
-    assert all(sensitivity._agreement.values()) and bool(sensitivity._agreement) == (recurrence == "compiled")
+    verdicts = [found for key, found in compiled._verdicts.items() if key[0] == "sensitivity"]
+    assert verdicts and all((found is compiled.numpy_recurrence) == (recurrence == "numpy") for found in verdicts)
 
 
 def test_one_rhs_jac_call_per_gradient_pass():
@@ -504,16 +506,18 @@ def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
     # run the Python pass, every cost pass of a solve is one compiled call,
     # and neither the Python pass nor rhs runs again
     prob, setting = pvtol_setting()
-    real = costpass.load(prob.c_source)
+    real = compiled.load("costpass", prob.c_source)
     if real is None:
         pytest.skip("the compiled cost pass cannot be built here")
     counts = dict.fromkeys(("compiled", "python", "rhs", "cost passes"), 0)
-    monkeypatch.setattr(costpass, "load", lambda c_source: counting(counts, "compiled", real))
-    monkeypatch.setattr(costpass, "_runners", {})
-    monkeypatch.setattr(costpass, "python_pass", counting(counts, "python", costpass.python_pass))
+    load = compiled.load
+    monkeypatch.setattr(compiled, "load", lambda stem, c_source="": (
+        counting(counts, "compiled", real) if stem == "costpass" else load(stem, c_source)))
+    monkeypatch.setattr(compiled, "_verdicts", {})
+    monkeypatch.setattr(compiled, "python_pass", counting(counts, "python", compiled.python_pass))
     monkeypatch.setattr(controller, "_cost_pass", counting(counts, "cost passes", controller._cost_pass))
     prob.rhs = counting(counts, "rhs", prob.rhs)
-    assert costpass.runner(prob) is not costpass.python_pass
+    assert compiled.cost_pass_for(prob) is not compiled.python_pass
     assert counts["compiled"] == counts["python"] > 0 and counts["rhs"] > 0 and counts["cost passes"] == 0
     x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
     passes = []
@@ -681,7 +685,7 @@ def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
     paths = []
 
     def recording(setting, *args):
-        paths.append(costpass.runner(setting.problem))
+        paths.append(compiled.cost_pass_for(setting.problem))
         return _cost_pass(setting, *args)
 
     monkeypatch.setattr(controller, "_cost_pass", recording)
@@ -691,7 +695,7 @@ def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
         c = calibrate_c_eval(prob, n=2000)
         assert 0.0 < c < 1e-3
         assert len(paths) > 10 and len(set(paths)) == 1
-        assert (paths[0] is costpass.python_pass) == (prob is python_pvtol or costpass.load(prob.c_source) is None)
+        assert (paths[0] is compiled.python_pass) == (prob is python_pvtol or compiled.load("costpass", prob.c_source) is None)
 
 
 def test_rhs_gets_tuples_of_floats_everywhere():

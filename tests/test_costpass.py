@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpc_autotune import RunConfig, pvtol_problem, run
-from mpc_autotune import cbuild, costpass, pvtol
+from mpc_autotune import DesignBounds, MpcSetting, RunConfig, pvtol_problem, realize, run, sample_shaping
+from mpc_autotune import compiled, controller, pvtol
 from conftest import cubic_problem, oscillator_problem
 
 PVTOL = pvtol_problem()
@@ -18,10 +19,10 @@ TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode=
 
 
 def compiled_pass(prob):
-    run_pass = costpass.load(prob.c_source)
-    if run_pass is None:
+    fast = compiled._bind_cost_pass(prob)
+    if fast is None:
         pytest.skip("the compiled cost pass cannot be built here")
-    return costpass._compiled_pass(run_pass, prob)
+    return fast
 
 
 def random_passes(prob, rng, draws, x_scale=1.0):
@@ -52,14 +53,14 @@ def assert_same(want, got):
 
 
 def test_compiled_pass_equals_the_python_pass_byte_for_byte_on_pvtol():
-    compiled = compiled_pass(PVTOL)
+    fast = compiled_pass(PVTOL)
     rng = np.random.default_rng(31)
     seen = {"tail": 0, "active": 0, "large angle": 0}
     # states up to 2000 times the sampling box: |theta| up to 1e3, where sin and cos reduce their argument
     for x_scale in (1.0, 20.0, 2000.0):
         for args in random_passes(PVTOL, rng, 150, x_scale):
-            want = costpass.python_pass(*args)
-            got = compiled(*args)
+            want = compiled.python_pass(*args)
+            got = fast(*args)
             assert_same(want, got)
             assert math.isfinite(want[0]) and got[2].shape == (4 * args[5] * args[7] + 1, 6)
             seen["tail"] += args[6] < args[5]
@@ -70,36 +71,59 @@ def test_compiled_pass_equals_the_python_pass_byte_for_byte_on_pvtol():
 
 def test_compiled_pass_equals_the_python_pass_without_constraints():
     prob = oscillator_problem()
-    compiled = compiled_pass(prob)
+    fast = compiled_pass(prob)
     for args in random_passes(prob, np.random.default_rng(32), 200, x_scale=3.0):
-        want = costpass.python_pass(*args)
+        want = compiled.python_pass(*args)
         assert want[3].shape == (args[5], 0)
-        assert_same(want, compiled(*args))
-    assert costpass.runner(prob) is not costpass.python_pass
+        assert_same(want, fast(*args))
+    assert compiled.cost_pass_for(prob) is not compiled.python_pass
 
 
 def test_an_overflowing_pass_diverges_with_the_same_steps():
     prob = cubic_problem()
-    compiled = compiled_pass(prob)
+    fast = compiled_pass(prob)
     diverged = 0
     for args in random_passes(prob, np.random.default_rng(33), 300, x_scale=10.0):
         with np.errstate(all="ignore"):
-            want = costpass.python_pass(*args)
-        assert_same(want, compiled(*args))
+            want = compiled.python_pass(*args)
+        assert_same(want, fast(*args))
         diverged += want[0] == math.inf
     assert 50 < diverged < 300
+
+
+def test_a_math_domain_error_diverges_as_the_compiled_pass_does():
+    # theta overflows within a period, then math.sin(inf) raises ValueError in
+    # the Python pass, where the compiled pass computes NaN and diverges
+    fast = compiled_pass(PVTOL)
+    x = np.array([0.0, 0.0, 1.0e308, 0.0, 0.0, 1.0e308])
+    with np.errstate(all="ignore"):
+        for n_pred, n_contr, n_steps in ((1, 1, 1), (3, 2, 3), (6, 2, 4)):
+            args = (PVTOL, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, n_contr), n_pred, n_contr, n_steps,
+                    0.05, 0.05 * n_steps, 1.0e3)
+            want = compiled.python_pass(*args)
+            got = fast(*args)
+            assert want[:2] == got[:2] == (math.inf, n_steps)
+            assert got[2][: len(want[2])].tobytes() == want[2].tobytes()
+    # controller._cost_pass on both paths
+    design = MpcSetting.from_design(PVTOL, realize(sample_shaping(np.random.default_rng(1)), 0.5, DesignBounds())).design
+    passes = [
+        controller._cost_pass(MpcSetting.from_design(prob, design), x, PVTOL.p_nom, PVTOL.q_min,
+                              np.tile(PVTOL.u_trim, design.n_contr))[:2]
+        for prob in (PVTOL, dataclasses.replace(PVTOL, c_source=None))
+    ]
+    assert passes[0] == passes[1] and passes[0][0] == math.inf
 
 
 def test_a_changed_constant_fails_the_self_check(fresh_build):
     altered = dataclasses.replace(PVTOL, c_source=PVTOL.c_source.replace("- 1.0;", "- 1.0000000000000002;"))
     assert altered.c_source != PVTOL.c_source
-    if costpass.load(altered.c_source) is None:
+    if compiled.load("costpass", altered.c_source) is None:
         pytest.skip("the compiled cost pass cannot be built here")
-    assert costpass.runner(altered) is costpass.python_pass
-    assert costpass.runner(PVTOL) is not costpass.python_pass
+    assert compiled.cost_pass_for(altered) is compiled.python_pass
+    assert compiled.cost_pass_for(PVTOL) is not compiled.python_pass
     # the key holds the callbacks: a replaced rhs is checked anew, and fails
-    assert costpass.runner(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
-        is costpass.python_pass
+    assert compiled.cost_pass_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
+        is compiled.python_pass
 
 
 def tiny_artifacts(out: Path, **changes) -> list[bytes]:
@@ -109,9 +133,15 @@ def tiny_artifacts(out: Path, **changes) -> list[bytes]:
     return [(out / name).read_bytes() for name in ("settings.csv", "trace.json")]
 
 
-def ran_compiled() -> bool:
-    (pass_,) = set(costpass._runners.values())
-    return pass_ is not costpass.python_pass
+def ran_compiled(stem: str = "costpass") -> bool:
+    """Whether the run's cost pass (one verdict), or its recurrence (one
+    verdict per size, all alike), ran compiled."""
+    runs = {found for key, found in compiled._verdicts.items() if key[0] == stem}
+    if stem == "costpass":
+        (pass_,) = runs
+        return pass_ is not compiled.python_pass
+    assert runs and (compiled.numpy_recurrence not in runs or runs == {compiled.numpy_recurrence})
+    return compiled.numpy_recurrence not in runs
 
 
 def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypatch):
@@ -119,8 +149,8 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
     assert ran_compiled() and fresh_build("costpass") == [os.getpid()]
 
     def fresh():
-        monkeypatch.setattr(costpass, "_runners", {})
-        costpass.load.cache_clear()
+        monkeypatch.setattr(compiled, "_verdicts", {})
+        compiled.load.cache_clear()
 
     # a c_source with one constant changed: built, but the self-check fails
     fresh()
@@ -133,28 +163,55 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
     assert tiny_artifacts(tmp_path / "failed-build") == want and not ran_compiled()
     assert sorted((tmp_path / "cache").iterdir()) == cached
     assert fresh_build("costpass") == [os.getpid()] * 3
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
+    # either C file missing, as from an install without the package data: its pass falls back
+    sources = compiled.SOURCES
+    for missing in ("costpass.c", "sensitivity.c"):
+        fresh()
+        kept = tmp_path / f"without-{missing}"
+        kept.mkdir()
+        for name in {"costpass.c", "sensitivity.c"} - {missing}:
+            shutil.copy(sources / name, kept)
+        monkeypatch.setattr(compiled, "SOURCES", kept)
+        assert tiny_artifacts(tmp_path / f"no-{missing}") == want
+        assert ran_compiled() == (missing != "costpass.c")
+        assert ran_compiled("sensitivity") == (missing != "sensitivity.c")
+    monkeypatch.setattr(compiled, "SOURCES", sources)
+    assert fresh_build("costpass") == [os.getpid()] * 3 and fresh_build() == [os.getpid()]
     # no compiler
     fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
-    monkeypatch.setattr(cbuild, "CC", "no-such-compiler")
+    monkeypatch.setattr(compiled, "CC", "no-such-compiler")
     assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled()
     assert fresh_build("costpass") == [os.getpid()] * 3
 
 
+def test_every_c_file_is_package_data():
+    """An install without a C file still runs, on the fallback, so only this
+    catches a C file missing from pyproject.toml's package data."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    listed = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["mpc_autotune"]
+    c_files = {path.name for path in compiled.SOURCES.glob("*.c")}
+    assert {f"{stem}.c" for stem in compiled.BINDINGS} <= c_files <= set(listed)
+
+
 def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
     passes = tmp_path / "passes"
-    real = costpass._compiled_pass
+    real = compiled._bind_cost_pass
 
     def logged(*args):
-        compiled = real(*args)
+        fast = real(*args)
 
         def logging_pass(*pass_args):
             with open(passes, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return compiled(*pass_args)
+            return fast(*pass_args)
         return logging_pass
 
-    monkeypatch.setattr(costpass, "_compiled_pass", logged)
+    monkeypatch.setattr(compiled, "_bind_cost_pass", logged)
     run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
     assert fresh_build("costpass") == [os.getpid()]
     assert ran_compiled()  # the parent self-checked; the workers ran the passes
@@ -172,7 +229,7 @@ print("numpy.ma" in sys.modules)
 def test_a_tuning_run_does_not_import_numpy_ma(tmp_path):
     """numpy.ma is imported on first use by functions such as np.unique; a
     run that did so would hold about a megabyte more."""
-    src = str(Path(costpass.__file__).parents[1])
+    src = str(Path(compiled.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", NO_LAZY_NUMPY_MA.format(tiny=TINY), str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)

@@ -121,6 +121,22 @@ def test_rk4_rejects_rhs_of_wrong_length():
         rk4_step(too_long, (0.5,), (1.0,), NO_P, 0.1)
 
 
+def test_rk4_reads_a_math_domain_error_on_an_overflowed_state_as_divergence():
+    prob = pvtol_problem()
+    p = tuple(prob.p_nom.tolist())
+    # the first stage state's theta overflows to inf, or theta starts there; math.sin(inf) raises ValueError
+    for x in ((0.0, 0.0, 1.0e308, 0.0, 0.0, 1.7e308), (0.0, 0.0, math.inf, 0.0, 0.0, 0.0)):
+        with pytest.raises(PropagationError) as err:
+            rk4_step(prob.rhs, x, (1.0, 1.0), p, 1.0)
+        assert isinstance(err.value.__cause__, ValueError)
+
+    def picky(x, u, p):  # a ValueError on a finite state is the callback's own
+        raise ValueError("not on this state")
+
+    with pytest.raises(ValueError, match="not on this state"):
+        rk4_step(picky, (0.5,), (1.0,), NO_P, 0.1)
+
+
 def numpy_rk4_stages(rhs, x, u, p, h):
     """Reference RK4 on arrays, with the in-place operation order the float
     kernel must reproduce."""

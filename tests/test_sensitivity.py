@@ -20,20 +20,23 @@ from mpc_autotune import (
     realize,
     run,
     sample_shaping,
-    sensitivity,
 )
-from mpc_autotune import cbuild, costpass
+from mpc_autotune import compiled
 
 PVTOL = pvtol_problem()
 TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
 
 
 @pytest.fixture
-def compiled():
-    run_pass = sensitivity.load()
+def recurrence():
+    run_pass = compiled._bind_recurrence()
     if run_pass is None:
         pytest.skip("the compiled recurrence cannot be built here")
     return run_pass
+
+
+def recurrence_verdicts() -> dict:
+    return {key[1:]: found for key, found in compiled._verdicts.items() if key[0] == "sensitivity"}
 
 
 def gradients(prob, draws=40):
@@ -54,12 +57,13 @@ def gradients(prob, draws=40):
 
 def numpy_gradients(prob, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(sensitivity, "load", lambda: None)
+        m.setattr(compiled, "_bind_recurrence", lambda: None)
+        m.setattr(compiled, "_verdicts", {})  # so that no verdict of this process's is read or kept
         return gradients(prob)
 
 
 @pytest.mark.parametrize("n_x, n_z", [(1, 1), (1, 3), (2, 1), (6, 1), (6, 2), (6, 29)])
-def test_compiled_recurrence_equals_the_numpy_loop_byte_for_byte(compiled, n_x, n_z):
+def test_compiled_recurrence_equals_the_numpy_loop_byte_for_byte(recurrence, n_x, n_z):
     # (1, 1) multiplies, (1, n) is numpy's axpy into zeros, (n, 1) gemv and the rest gemm
     rng = np.random.default_rng(100 * n_x + n_z)
     for _ in range(50):
@@ -73,14 +77,14 @@ def test_compiled_recurrence_equals_the_numpy_loop_byte_for_byte(compiled, n_x, 
         A[rng.random(A.shape) < 0.01] = np.inf
         h = rng.uniform(0.01, 0.5)
         with np.errstate(all="ignore"):
-            want = sensitivity.numpy_recurrence(A, B, n_pred, n_steps, h)
-            assert sensitivity._compiled(compiled, A, B, n_pred, n_steps, h).tobytes() == want.tobytes()
+            want = compiled.numpy_recurrence(A, B, n_pred, n_steps, h)
+            assert recurrence(A, B, n_pred, n_steps, h).tobytes() == want.tobytes()
 
 
 def test_the_library_is_compiled_once_into_a_user_only_cache(tmp_path, fresh_build):
-    assert sensitivity.load() is not None
-    sensitivity.load.cache_clear()
-    assert sensitivity.load() is not None  # the second process-level load reads the cache
+    assert compiled.load("sensitivity") is not None
+    compiled.load.cache_clear()
+    assert compiled.load("sensitivity") is not None  # the second process-level load reads the cache
     assert fresh_build() == [os.getpid()]
     cache = tmp_path / "cache"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
@@ -91,11 +95,11 @@ def test_a_cache_others_can_write_is_not_used(tmp_path, fresh_build):
     cache = tmp_path / "cache"
     cache.mkdir()
     cache.chmod(0o777)
-    assert sensitivity.load() is None
+    assert compiled.load("sensitivity") is None
     assert fresh_build() == [] and list(cache.iterdir()) == []
 
 
-def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, compiled, fresh_build, monkeypatch):
+def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, recurrence, fresh_build, monkeypatch):
     artifacts = []
     for label in ("compiled", "no-compiler"):
         out = tmp_path / label
@@ -103,11 +107,10 @@ def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, compiled, f
             warnings.simplefilter("error")
             run(RunConfig(**TINY, out_dir=str(out)))
         artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
-        monkeypatch.setattr(cbuild, "CC", "no-such-compiler")
-        monkeypatch.setattr(costpass, "_runners", {})
-        sensitivity.load.cache_clear()
-        costpass.load.cache_clear()
-    assert sensitivity.load() is None
+        monkeypatch.setattr(compiled, "CC", "no-such-compiler")
+        monkeypatch.setattr(compiled, "_verdicts", {})
+        compiled.load.cache_clear()
+    assert compiled.load("sensitivity") is None
     assert artifacts[0] == artifacts[1]
     assert fresh_build() == [os.getpid()]  # the compiled run's build; none without a compiler
 
@@ -115,55 +118,56 @@ def test_without_a_compiler_a_run_gives_the_same_artifacts(tmp_path, compiled, f
 def test_a_missing_blas_symbol_keeps_the_numpy_path_without_compiling(fresh_build, monkeypatch):
     # as with numpy on MKL or a system BLAS, whose routines have other names
     want = numpy_gradients(PVTOL, monkeypatch)
-    monkeypatch.setattr(sensitivity, "BLAS_SYMBOLS", sensitivity.BLAS_SYMBOLS[:2] + ("no_such_cblas_daxpy",))
-    assert sensitivity.load() is None
+    monkeypatch.setattr(compiled, "BLAS_SYMBOLS", compiled.BLAS_SYMBOLS[:2] + ("no_such_cblas_daxpy",))
+    assert compiled._bind_recurrence() is None
     assert gradients(PVTOL) == want
     assert fresh_build() == []
 
 
-def test_a_self_check_mismatch_keeps_the_numpy_path(compiled, monkeypatch):
+def test_a_self_check_mismatch_keeps_the_numpy_path(recurrence, monkeypatch):
     want = numpy_gradients(PVTOL, monkeypatch)
-    real = sensitivity._compiled
+    real = compiled._compiled_recurrence
 
     def one_ulp_off(*args):
         S_at = real(*args)
         S_at[-1, 0, 0] = np.nextafter(S_at[-1, 0, 0], np.inf)
         return S_at
 
-    monkeypatch.setattr(sensitivity, "_compiled", one_ulp_off)
-    monkeypatch.setattr(sensitivity, "_agreement", {})
+    monkeypatch.setattr(compiled, "_compiled_recurrence", one_ulp_off)
+    monkeypatch.setattr(compiled, "_verdicts", {})
     assert gradients(PVTOL) == want
-    assert sensitivity._agreement and not any(sensitivity._agreement.values())
+    verdicts = recurrence_verdicts()
+    assert verdicts and all(found is compiled.numpy_recurrence for found in verdicts.values())
 
 
-def test_a_transposed_jacobian_keeps_the_numpy_path(compiled, monkeypatch):
+def test_a_transposed_jacobian_keeps_the_numpy_path(recurrence, monkeypatch):
     def transposed_rhs_jac(x, u, p):
         A, B = PVTOL.rhs_jac(x, u, p)
         return np.ascontiguousarray(np.swapaxes(A, -1, -2)).swapaxes(-1, -2), B  # equal values, not C-contiguous
 
     prob = dataclasses.replace(PVTOL, rhs_jac=transposed_rhs_jac)
     want = numpy_gradients(prob, monkeypatch)
-    monkeypatch.setattr(sensitivity, "_agreement", {})
+    monkeypatch.setattr(compiled, "_verdicts", {})
     assert gradients(prob) == want
-    assert sensitivity._agreement == {}  # no pass got as far as the self-check
+    assert recurrence_verdicts() == {}  # no pass got as far as the self-check
 
 
 def test_a_pooled_run_builds_the_library_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
     passes = tmp_path / "passes"
-    real = sensitivity._compiled
+    real = compiled._compiled_recurrence
 
     def logged(*args):
         with open(passes, "a") as f:
             f.write(f"{os.getpid()}\n")
         return real(*args)
 
-    monkeypatch.setattr(sensitivity, "_compiled", logged)
-    monkeypatch.setattr(sensitivity, "_agreement", {})
+    monkeypatch.setattr(compiled, "_compiled_recurrence", logged)
     run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
     assert fresh_build() == [os.getpid()]
     # the parent self-checked every size a candidate can have; the workers ran the passes
-    assert sorted(sensitivity._agreement) == [(6, 2 * n) for n in range(1, RunConfig().n_contr_max + 1)]
-    assert all(sensitivity._agreement.values())
+    verdicts = recurrence_verdicts()
+    assert sorted(verdicts) == [(6, 2 * n) for n in range(1, RunConfig().n_contr_max + 1)]
+    assert all(found is not compiled.numpy_recurrence for found in verdicts.values())
     assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
 
 
@@ -171,23 +175,24 @@ OTHER_KERNEL_CHECK = """
 import ctypes, json
 import numpy as np
 from numpy._core import _multiarray_umath
-from mpc_autotune import sensitivity
+from mpc_autotune import compiled
 
 corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
 corename.argtypes, corename.restype = [], ctypes.c_char_p
-run = sensitivity.load()
+run = compiled._bind_recurrence()
 rng = np.random.default_rng(1)
 same = []
 for n_z in (1, 2, 4, 29):
     A = rng.standard_normal((48, 6, 6)) / 6
     B = rng.standard_normal((48, 6, n_z))
-    got = sensitivity._compiled(run, A, B, 4, 3, 0.1).tobytes()
-    same.append(sensitivity._agrees(run, 6, n_z) and got == sensitivity.numpy_recurrence(A, B, 4, 3, 0.1).tobytes())
+    got = run(A, B, 4, 3, 0.1).tobytes()
+    same.append(compiled._recurrence_for(6, n_z) is not compiled.numpy_recurrence
+                and got == compiled.numpy_recurrence(A, B, 4, 3, 0.1).tobytes())
 print(json.dumps({"core": corename().decode(), "same": same}))
 """
 
 
-def test_the_self_check_passes_under_another_blas_kernel(compiled):
+def test_the_self_check_passes_under_another_blas_kernel(recurrence):
     """OPENBLAS_CORETYPE, set for a child process only, picks another
     kernel, whose bits differ from the FMA kernels' (ROADMAP, "Float
     environment"); the compiled recurrence follows numpy there too."""
@@ -197,7 +202,7 @@ def test_the_self_check_passes_under_another_blas_kernel(compiled):
         pytest.skip("numpy does not report its BLAS build")
     if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
         pytest.skip("numpy's BLAS is not an OpenBLAS built for several kernels")
-    src = str(Path(sensitivity.__file__).parents[1])
+    src = str(Path(compiled.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", OTHER_KERNEL_CHECK], env=env, capture_output=True, text=True,
