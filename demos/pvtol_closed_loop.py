@@ -42,7 +42,7 @@ def main() -> None:
         )
     print()
     print(f"closed-loop cost: {report.closed_loop_cost:.6f}")
-    print(f"real-time excess:   {rt_excess(report, setting.grid.tau_u, 1.0):.6f}")
+    print(f"real-time excess:   {rt_excess(report, setting.tau_u, 1.0):.6f}")
     print(f"contraction excess: {contraction_excess(report, 0.98):.6f}")
     print(f"violation excess:   {constraint_excess(report):.6f}")
 

@@ -31,7 +31,6 @@ from .design import (
     shape_value,
 )
 from .integration import (
-    PredictionGrid,
     PropagationError,
     hold_input,
     n_steps_for,

@@ -195,12 +195,14 @@ def _settle(key: tuple, reference: Callable, bind: Callable[[], Callable | None]
 
 def _same(want, got) -> bool:
     """Whether got has want's bytes: all of a recurrence's; a cost pass's
-    cost, steps, the states want reached, and mask."""
+    cost, steps, the states want reached, and, unless it diverged, mask (a
+    diverged record is never read)."""
     if isinstance(want, np.ndarray):
         return got.tobytes() == want.tobytes()
     cost, steps, states, mask = want
     return (float(cost).hex() == float(got[0]).hex() and steps == got[1]
-            and states.tobytes() == got[2][: len(states)].tobytes() and mask.tobytes() == got[3].tobytes())
+            and states.tobytes() == got[2][: len(states)].tobytes()
+            and (not math.isfinite(cost) or mask.tobytes() == got[3].tobytes()))
 
 
 @functools.lru_cache(maxsize=None)

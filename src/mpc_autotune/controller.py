@@ -24,7 +24,7 @@ import numpy as np
 
 from . import compiled
 from .design import DesignVector
-from .integration import PredictionGrid, PropagationError, floats, hold_input, n_steps_for
+from .integration import PropagationError, floats, hold_input, n_steps_for
 from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
@@ -60,19 +60,22 @@ class TimingSpec:
 
 @dataclass(frozen=True)
 class MpcSetting:
-    """A problem paired with one realized design and its prediction grid."""
+    """A problem paired with one realized design and its prediction grid:
+    the updating period tau_u, subdivided into n_steps prediction substeps."""
 
     problem: ProblemDefinition
     design: DesignVector
-    grid: PredictionGrid
+    tau_u: float
+    n_steps: int
 
     @classmethod
     def from_design(cls, problem: ProblemDefinition, design: DesignVector) -> "MpcSetting":
-        grid = PredictionGrid(
-            tau_u=design.kappa * problem.tau,
-            n_steps=n_steps_for(design.mu_d, design.kappa),
-        )
-        return cls(problem, design, grid)
+        return cls(problem, design, design.tau_u(problem.tau), n_steps_for(design.mu_d, design.kappa))
+
+    @property
+    def tau_p(self) -> float:
+        """Length of one prediction substep."""
+        return self.tau_u / self.n_steps
 
     def z_bounds(self) -> tuple[Array, Array]:
         n = self.design.n_contr
@@ -153,9 +156,10 @@ def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> t
     (states, mask) as python_pass describes them; a gradient pass over the
     same decision vector reuses both.
     """
-    prob, design, grid = setting.problem, setting.design, setting.grid
+    prob, design = setting.problem, setting.design
     cost, steps, states, mask = compiled.cost_pass_for(prob)(
-        prob, x, p, q, z, design.n_pred, design.n_contr, grid.n_steps, grid.tau_p, grid.tau_u, design.rho_constr
+        prob, x, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
+        design.rho_constr,
     )
     if math.isfinite(cost):
         xt = tuple(states[-1].tolist())
@@ -191,8 +195,8 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     sequential accumulate from +0.0; input parts are rows padded with -0.0.
     """
     states, mask = record
-    prob, design, grid = setting.problem, setting.design, setting.grid
-    tau_u, h, n_steps = grid.tau_u, grid.tau_p, grid.n_steps
+    prob, design = setting.problem, setting.design
+    tau_u, h, n_steps = setting.tau_u, setting.tau_p, setting.n_steps
     n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
     n_pred, n_contr = design.n_pred, design.n_contr
     blocks = z.reshape(n_contr, n_u)
@@ -282,7 +286,7 @@ def _descend(
             return best_z, best_cost, iterations, total_steps, False
         # record always describes the trajectory of the current iterate z
         grad = _grad_pass(setting, p, q, z, record)
-        total_steps += setting.design.n_pred * setting.grid.n_steps
+        total_steps += setting.design.n_pred * setting.n_steps
         if not np.all(np.isfinite(grad)):
             break
         projected = z - np.clip(z - grad, z_lo, z_hi)
@@ -390,8 +394,8 @@ def simulate_closed_loop(
     the first update whose solve overruns it (see ClosedLoopReport); the
     solve gets the budget too.
     """
-    prob, design, grid = setting.problem, setting.design, setting.grid
-    kappa, tau, tau_u = design.kappa, prob.tau, grid.tau_u
+    prob, design = setting.problem, setting.design
+    kappa, tau, tau_u = design.kappa, prob.tau, setting.tau_u
     p, q = scenario.p, scenario.q
     pt, qt = tuple(p.tolist()), tuple(q.tolist())
     m = update_count(scenario.duration, tau_u)
@@ -464,7 +468,7 @@ def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:
     setting = MpcSetting.from_design(problem, design)
     x, q = 0.5 * (problem.x_min + problem.x_max), 0.5 * (problem.q_min + problem.q_max)
     z = setting.default_warm_start()
-    passes = max(1, round(n / (WORK_PER_RK_STEP * design.n_pred * setting.grid.n_steps)))
+    passes = max(1, round(n / (WORK_PER_RK_STEP * design.n_pred * setting.n_steps)))
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         _cost_pass(setting, x, problem.p_nom, q, z)  # warm any lazy setup, the compiled pass's among it

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,10 +24,6 @@ Rhs = Callable[[State, State, State], Sequence[float]]
 
 class PropagationError(RuntimeError):
     """Raised when a propagated state stops being finite."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
 
 
 def n_steps_for(mu_d: float, kappa: int) -> int:
@@ -43,25 +38,6 @@ def n_steps_for(mu_d: float, kappa: int) -> int:
         raise ValueError(f"kappa must be >= 1, got {kappa!r}")
     n = math.ceil(1.0 + mu_d * (kappa - 1))
     return int(min(max(n, 1), kappa))
-
-
-@dataclass(frozen=True)
-class PredictionGrid:
-    """Updating period and its subdivision into prediction substeps."""
-
-    tau_u: float
-    n_steps: int
-
-    def __post_init__(self) -> None:
-        if self.tau_u <= 0.0:
-            raise ValueError(f"tau_u must be positive, got {self.tau_u!r}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps!r}")
-
-    @property
-    def tau_p(self) -> float:
-        """Length of one prediction substep."""
-        return self.tau_u / self.n_steps
 
 
 def floats(v) -> State:
@@ -150,8 +126,8 @@ def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: 
 
     The state, u and p reach rhs as tuples of floats, as in the RK4 kernel.
     Row i + 1 of states receives the state after fine step i, in place, so
-    the rows before a failing step stay filled; the PropagationError carries
-    the index of that step.
+    the rows before a failing step stay filled; the PropagationError's
+    message names the index of that step.
     """
     x = tuple(states[0].tolist())
     u, p = floats(u), floats(p)
@@ -159,5 +135,5 @@ def hold_input(rhs: Rhs, states: np.ndarray, u: np.ndarray, p: np.ndarray, tau: 
         try:
             x = rk4_step(rhs, x, u, p, tau)
         except PropagationError:
-            raise PropagationError(f"plant propagation diverged at fine step {i}", step=i) from None
+            raise PropagationError(f"plant propagation diverged at fine step {i}") from None
         states[i + 1] = x

@@ -8,7 +8,7 @@ reused verbatim by the tuner so results are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,7 +92,6 @@ class ProblemDefinition:
     stage_cost_grad: Callable[[Array, Array, Array, Array], tuple[Array, Array]] | None = None
     terminal_penalty_grad: Callable[[Array, Array, Array], Array] | None = None
     constraint_jac: Callable[[Array, Array, Array, Array], tuple[Array, Array]] | None = None
-    name: str = ""
     c_source: str | None = None
 
     def __post_init__(self) -> None:

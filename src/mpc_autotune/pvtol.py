@@ -202,7 +202,6 @@ def pvtol_problem(
         stage_cost_grad=pvtol_stage_cost_grad,
         terminal_penalty_grad=pvtol_terminal_grad,
         constraint_jac=pvtol_constraint_jac,
-        name="pvtol",
         c_source=PVTOL_C_SOURCE,
     )
 

@@ -69,6 +69,10 @@ class ResultFileError(RuntimeError):
     """Missing or corrupt run artifacts found by summarize()."""
 
 
+# the defaults of the run's design box, thresholds and timing, stated where those types are
+_BOUNDS, _PARAMS, _TIMING = DesignBounds(), CertificationParams(), TimingSpec()
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; keys of the config file match these names."""
@@ -79,32 +83,32 @@ class RunConfig:
     nsb: int = 10
     sigma_bar: int = 3
     duration: float = 0.5
-    gamma: float = 0.98
-    eps: float = 0.15
-    dev_acc: float = 1.0
-    c_max: float = 0.1
+    gamma: float = _PARAMS.gamma
+    eps: float = _PARAMS.eps
+    dev_acc: float = _PARAMS.dev_acc
+    c_max: float = _PARAMS.c_max
     seed: int = 0
     jobs: int = 1
-    timing_mode: str = "wallclock"
-    timing_repeats: int = 1
-    c_eval: float | None = None
+    timing_mode: str = _TIMING.mode
+    timing_repeats: int = _TIMING.repeats
+    c_eval: float | None = _TIMING.c_eval
     dump_reports: bool = False
     out_dir: str = "tuning_output"
-    rho_log_space: bool = False
-    kappa_min: int = 1
-    kappa_max: int = 10
-    mu_d_min: float = 0.0
-    mu_d_max: float = 1.0
-    n_pred_min: int = 5
-    n_pred_max: int = 25
-    n_contr_min: int = 1
-    n_contr_max: int = 5
-    rho_f_min: float = 1.0
-    rho_f_max: float = 1.0e3
-    rho_constr_min: float = 1.0e3
-    rho_constr_max: float = 1.0e7
-    max_iter_min: int = 5
-    max_iter_max: int = 20
+    rho_log_space: bool = _BOUNDS.rho_log_space
+    kappa_min: int = _BOUNDS.kappa[0]
+    kappa_max: int = _BOUNDS.kappa[1]
+    mu_d_min: float = _BOUNDS.mu_d[0]
+    mu_d_max: float = _BOUNDS.mu_d[1]
+    n_pred_min: int = _BOUNDS.n_pred[0]
+    n_pred_max: int = _BOUNDS.n_pred[1]
+    n_contr_min: int = _BOUNDS.n_contr[0]
+    n_contr_max: int = _BOUNDS.n_contr[1]
+    rho_f_min: float = _BOUNDS.rho_f[0]
+    rho_f_max: float = _BOUNDS.rho_f[1]
+    rho_constr_min: float = _BOUNDS.rho_constr[0]
+    rho_constr_max: float = _BOUNDS.rho_constr[1]
+    max_iter_min: int = _BOUNDS.max_iter[0]
+    max_iter_max: int = _BOUNDS.max_iter[1]
 
     def __post_init__(self) -> None:
         # comparisons are written so that NaN fails them
@@ -226,27 +230,11 @@ def _settings_rows(result: TuningResult, tau: float) -> list[list[str]]:
     infeasible = [r for r in records if r.status == INFEASIBLE_AT_A0]
     rows = []
     for rec in survivors + eliminated + infeasible:
+        row = _record_dict(rec)
         d = rec.design
-        rows.append(
-            [
-                _fmt(rec.index),
-                rec.status,
-                _fmt(rec.alpha_hat),
-                _fmt(d.kappa if d else None),
-                _fmt(d.mu_d if d else None),
-                _fmt(d.n_pred if d else None),
-                _fmt(d.n_contr if d else None),
-                _fmt(d.rho_f if d else None),
-                _fmt(d.rho_constr if d else None),
-                _fmt(d.max_iter if d else None),
-                _fmt(d.tau_u(tau) if d else None),
-                _fmt(d.horizon(tau) if d else None),
-                _fmt(rec.cumulative_cost),
-                _fmt(rec.scenarios_evaluated),
-                _fmt(rec.eliminated_batch),
-                rec.eliminated_criterion or "",
-            ]
-        )
+        if d:
+            row.update(d.as_dict(), N_pred=d.n_pred, tau_u=d.tau_u(tau), T=d.horizon(tau))
+        rows.append([_fmt(row.get(c)) for c in SETTINGS_COLUMNS])
     return rows
 
 

@@ -15,7 +15,7 @@ import math
 import multiprocessing
 import signal
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -120,9 +120,6 @@ class SetEvaluation:
             return CONSTRAINTS
         return None
 
-    def passes(self, params: CertificationParams) -> bool:
-        return self.failed_criterion(params) is None
-
 
 Evaluator = Callable[[float], SetEvaluation]
 
@@ -149,7 +146,7 @@ def evaluate_on_set(
     """
     design = realize(shaping, alpha, bounds)
     setting = MpcSetting.from_design(problem, design)
-    budget = params.dev_acc * setting.grid.tau_u if stop_on_rt else None
+    budget = params.dev_acc * setting.tau_u if stop_on_rt else None
     rt = contraction = constraint = 0.0
     cost_sum = 0.0
     n_solves = 0
@@ -157,7 +154,7 @@ def evaluate_on_set(
     reports: list[ClosedLoopReport] | None = [] if keep_reports else None
     for scenario in scenarios:
         report = simulate_closed_loop(setting, scenario, timing, budget=budget)
-        rt = max(rt, rt_excess(report, setting.grid.tau_u, params.dev_acc))
+        rt = max(rt, rt_excess(report, setting.tau_u, params.dev_acc))
         contraction = max(contraction, contraction_excess(report, params.gamma))
         constraint = max(constraint, constraint_excess(report))
         cost_sum += report.closed_loop_cost
@@ -286,29 +283,48 @@ class TuningResult:
 
 CandidateEvaluator = Callable[[ShapingVector, float, Sequence[Scenario]], SetEvaluation]
 ReportSink = Callable[[dict, ClosedLoopReport], None]
-Outcome = tuple[AlphaSearch, list[SetEvaluation]]
+Outcome = tuple[CandidateRecord, int, list[tuple[dict, ClosedLoopReport]]]
 
 
 def _certify(
     evaluate: CandidateEvaluator,
     batches: Sequence[Sequence[Scenario]],
     params: CertificationParams,
+    bounds: DesignBounds,
+    index: int,
     shaping: ShapingVector,
 ) -> Outcome:
     """One candidate's task: the dial search on the first batch and, unless it
     rejects the candidate, the later batches at alpha_hat up to the first
-    failing one."""
+    failing one.  Returns the candidate's record, the solves it ran and its
+    (context, report) pairs in simulation order."""
     search = find_alpha_max(lambda alpha: evaluate(shaping, alpha, batches[0]), params)
-    later: list[SetEvaluation] = []
-    if search.alpha_hat is not None:
-        for batch in batches[1:]:
-            later.append(evaluate(shaping, search.alpha_hat, batch))
-            if not later[-1].passes(params):
-                break
-    return search, later
+    record = CandidateRecord(index, shaping, alpha_evaluations=search.n_evaluations,
+                             scenarios_evaluated=search.n_scenarios)
+    solves = search.n_solves
+    reports = [({"phase": 1, "candidate": index, "alpha": alpha, "scenario": i}, rep)
+               for alpha, ev in search.evaluations for i, rep in enumerate(ev.reports or ())]
+    if search.alpha_hat is None:
+        record.status, record.eliminated_batch, record.eliminated_criterion = INFEASIBLE_AT_A0, 1, search.failure
+        return record, solves, reports
+    record.alpha_hat = search.alpha_hat
+    record.design = realize(shaping, search.alpha_hat, bounds)
+    record.cumulative_cost = search.cost_sum
+    for batch, scenarios in enumerate(batches[1:], start=2):
+        ev = evaluate(shaping, search.alpha_hat, scenarios)
+        record.scenarios_evaluated += ev.n_scenarios
+        solves += ev.n_solves
+        reports += [({"phase": 2, "candidate": index, "batch": batch, "scenario": i}, rep)
+                    for i, rep in enumerate(ev.reports or ())]
+        failed = ev.failed_criterion(params)
+        if failed is not None:
+            record.status, record.eliminated_batch, record.eliminated_criterion = ELIMINATED, batch, failed
+            break
+        record.cumulative_cost += ev.cost_sum
+    return record, solves, reports
 
 
-_worker_args: tuple = ()  # a pool worker's (evaluate, batches, params)
+_worker_args: tuple = ()  # a pool worker's (evaluate, batches, params, bounds)
 
 
 def _start_worker(*args) -> None:
@@ -317,8 +333,8 @@ def _start_worker(*args) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles it by ending the workers
 
 
-def _certify_in_worker(shaping: ShapingVector) -> Outcome:
-    return _certify(*_worker_args, shaping)
+def _certify_in_worker(index: int, shaping: ShapingVector) -> Outcome:
+    return _certify(*_worker_args, index, shaping)
 
 
 def _in_order_failing_fast(futures: list[Future]):
@@ -359,7 +375,7 @@ def tune(
     if evaluate is None:
         evaluate = functools.partial(evaluate_on_set, problem, bounds=bounds, params=params, timing=timing,
                                      keep_reports=report_sink is not None, stop_on_rt=True)
-    task_args = (evaluate, batch_set.batches, params)
+    task_args = (evaluate, batch_set.batches, params, bounds)
     say = progress if progress is not None else (lambda _msg: None)
     records: list[CandidateRecord] = []
     solve_count = 0
@@ -371,39 +387,17 @@ def tune(
         if jobs > 1 and len(shapings) > 1:
             pool = ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("fork"),
                                        initializer=_start_worker, initargs=task_args)
-            outcomes = _in_order_failing_fast([pool.submit(_certify_in_worker, s) for s in shapings])
+            outcomes = _in_order_failing_fast([pool.submit(_certify_in_worker, *task) for task in enumerate(shapings)])
         else:
-            outcomes = map(functools.partial(_certify, *task_args), shapings)
-        for index, (shaping, (search, later)) in enumerate(zip(shapings, outcomes)):
-            record = CandidateRecord(index, shaping, alpha_evaluations=search.n_evaluations,
-                                     scenarios_evaluated=search.n_scenarios + sum(ev.n_scenarios for ev in later))
+            outcomes = (_certify(*task_args, *task) for task in enumerate(shapings))
+        for record, solves, reports in outcomes:
             records.append(record)
-            solve_count += search.n_solves + sum(ev.n_solves for ev in later)
-            if search.alpha_hat is None:
-                record.status = INFEASIBLE_AT_A0
-                record.eliminated_batch = 1
-                record.eliminated_criterion = search.failure
-            else:
-                record.alpha_hat = search.alpha_hat
-                record.design = realize(shaping, search.alpha_hat, bounds)
-                record.cumulative_cost = search.cost_sum
-            for batch, ev in enumerate(later, start=2):  # only the last one can fail
-                failed = ev.failed_criterion(params)
-                if failed is None:
-                    record.cumulative_cost += ev.cost_sum
-                else:
-                    record.status = ELIMINATED
-                    record.eliminated_batch = batch
-                    record.eliminated_criterion = failed
+            solve_count += solves
             if report_sink is not None:
-                for alpha, ev in search.evaluations:
-                    for i, rep in enumerate(ev.reports or ()):
-                        report_sink({"phase": 1, "candidate": index, "alpha": alpha, "scenario": i}, rep)
-                for batch, ev in enumerate(later, start=2):
-                    for i, rep in enumerate(ev.reports or ()):
-                        report_sink({"phase": 2, "candidate": index, "batch": batch, "scenario": i}, rep)
+                for context, report in reports:
+                    report_sink(context, report)
             why = f" at batch {record.eliminated_batch}: {record.eliminated_criterion}" if record.eliminated_batch else ""
-            say(f"candidate {index}: {record.status}{why}")
+            say(f"candidate {record.index}: {record.status}{why}")
     except BaseException:
         if pool is not None:
             workers = list(pool._processes.values())  # as terminate_workers() does from Python 3.14

@@ -37,7 +37,6 @@ def integrator_problem(tau: float = 0.1) -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: np.array([x[0] - 0.8]),
         stage_cost=lambda x, u, p, q: float(x[0] ** 2 + u[0] ** 2),
         terminal_penalty_base=lambda x, p, q: float(x[0] ** 2),
-        name="integrator-toy",
     )
 
 
@@ -64,7 +63,6 @@ def double_integrator_problem() -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: (x[1] - 0.8,),
         stage_cost=lambda x, u, p, q: x[0] ** 2 + x[1] ** 2 + u[0] ** 2,
         terminal_penalty_base=lambda x, p, q: x[0] ** 2 + x[1] ** 2,
-        name="double-integrator-toy",
     )
 
 
@@ -92,7 +90,6 @@ def quadratic_problem(u_span: float = 10.0) -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: np.empty(0),
         stage_cost=lambda x, u, p, q: float(u[0] ** 2),
         terminal_penalty_base=lambda x, p, q: float(x[0] ** 2),
-        name="quadratic-toy",
     )
 
 
@@ -119,7 +116,6 @@ def oscillator_problem() -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: (),
         stage_cost=lambda x, u, p, q: (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0],
         terminal_penalty_base=lambda x, p, q: x[0] * x[0] + x[1] * x[1],
-        name="oscillator-toy",
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {
@@ -159,7 +155,6 @@ def cubic_problem() -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: (x[0] - 1.0,),
         stage_cost=lambda x, u, p, q: x[0] * x[0] + u[0] * u[0],
         terminal_penalty_base=lambda x, p, q: x[0] * x[0],
-        name="cubic-toy",
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {

@@ -222,7 +222,7 @@ def test_criterion_5_equilibrium_exactness():
     report = simulate_closed_loop(setting, scenario, TimingSpec("cost-model", c_eval=1.0e-9))
     assert not report.diverged
     assert report.closed_loop_cost < 1.0e-9
-    assert rt_excess(report, setting.grid.tau_u, 1.0) == 0.0
+    assert rt_excess(report, setting.tau_u, 1.0) == 0.0
     assert contraction_excess(report, 0.98) == 0.0
     assert constraint_excess(report) == 0.0
     return "hover is a fixed point of the closed loop"

@@ -74,8 +74,8 @@ def test_setting_grid_from_design():
     design = DesignVector(kappa=5, mu_d=0.5, n_pred=10, n_contr=3,
                           rho_f=10.0, rho_constr=1e4, max_iter=10)
     setting = MpcSetting.from_design(prob, design)
-    assert setting.grid.tau_u == pytest.approx(0.05)
-    assert setting.grid.n_steps == 3  # ceil(1 + 0.5 * 4)
+    assert setting.tau_u == pytest.approx(0.05)
+    assert setting.n_steps == 3  # ceil(1 + 0.5 * 4)
     assert setting.default_warm_start().size == 6
 
 
@@ -147,7 +147,7 @@ def test_float_overflow_in_rhs_reads_as_divergence():
     result = solve(setting, x0, *NO_PQ, z, COST_TIMING)
     assert result.diverged
     # the overflowing updating period is charged whole, like one ending in an inf state
-    assert result.work_units == WORK_PER_RK_STEP * setting.grid.n_steps
+    assert result.work_units == WORK_PER_RK_STEP * setting.n_steps
 
 
 def test_a_nan_constraint_value_reads_as_divergence():
@@ -166,7 +166,7 @@ def test_a_nan_constraint_value_reads_as_divergence():
     result = solve(setting, *args, z, COST_TIMING)
     assert result.diverged and result.cost == math.inf
     # the first updating period ends in the NaN, and the pass stops there
-    assert result.work_units == WORK_PER_RK_STEP * setting.grid.n_steps
+    assert result.work_units == WORK_PER_RK_STEP * setting.n_steps
 
 
 # gradient -------------------------------------------------------------------------
@@ -243,8 +243,8 @@ def reference_gradient(setting, x, p, q, z):
     cost, _, (states, _) = _cost_pass(setting, x, p, q, z)
     if not math.isfinite(cost):
         return np.full(z.size, math.nan)
-    prob, design, grid = setting.problem, setting.design, setting.grid
-    tau_u, n_u = grid.tau_u, prob.n_u
+    prob, design = setting.problem, setting.design
+    tau_u, n_u = setting.tau_u, prob.n_u
     blocks = z.reshape(design.n_contr, n_u)
     grad = np.zeros(z.size)
     S = np.zeros((prob.n_x, z.size))
@@ -259,9 +259,9 @@ def reference_gradient(setting, x, p, q, z):
         lx, lu = prob.stage_cost_grads(xj, u, p, q)
         grad += tau_u * (lx @ S)
         grad[cols] += tau_u * lu
-        for _ in range(grid.n_steps):
+        for _ in range(setting.n_steps):
             rec = next(stage_states)
-            inplace_sens_step(prob, rec, u, p, grid.tau_p, S, cols, buf)
+            inplace_sens_step(prob, rec, u, p, setting.tau_p, S, cols, buf)
             xj = rec[4]
         c = np.asarray(prob.constraint_map(*(tuple(v.tolist()) for v in (xj, u, p, q))))
         active = np.flatnonzero(c > 0.0)
@@ -337,8 +337,8 @@ def test_one_rhs_jac_call_per_gradient_pass():
     setting = MpcSetting.from_design(prob, design)
     scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
     open_loop_gradient(setting, scenario.x0, scenario.p, scenario.q, setting.default_warm_start())
-    n_points = 4 * design.n_pred * setting.grid.n_steps
-    assert setting.grid.n_steps > 1
+    n_points = 4 * design.n_pred * setting.n_steps
+    assert setting.n_steps > 1
     assert calls == [((n_points, 6), (n_points, 2))]
 
 

@@ -104,6 +104,7 @@ def test_a_math_domain_error_diverges_as_the_compiled_pass_does():
             got = fast(*args)
             assert want[:2] == got[:2] == (math.inf, n_steps)
             assert got[2][: len(want[2])].tobytes() == want[2].tobytes()
+            assert compiled._same(want, got)  # the masks may differ: a diverged record is never read
     # controller._cost_pass on both paths
     design = MpcSetting.from_design(PVTOL, realize(sample_shaping(np.random.default_rng(1)), 0.5, DesignBounds())).design
     passes = [
@@ -112,6 +113,21 @@ def test_a_math_domain_error_diverges_as_the_compiled_pass_does():
         for prob in (PVTOL, dataclasses.replace(PVTOL, c_source=None))
     ]
     assert passes[0] == passes[1] and passes[0][0] == math.inf
+
+
+def test_a_self_check_draw_that_diverges_by_a_math_domain_error_keeps_the_compiled_pass(monkeypatch):
+    # from this state C flags constraints of the diverged period, whose
+    # constraint_map gets NaN, while the Python pass stops at the exception
+    fast = compiled_pass(PVTOL)
+    x = np.array([0.0, 0.0, 1.0e308, 0.0, 0.0, 1.0e308])
+    diverging = (PVTOL, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, 2), 3, 2, 3, 0.05, 0.15, 1.0e3)
+    with np.errstate(all="ignore"):
+        want, got = compiled.python_pass(*diverging), fast(*diverging)
+    assert want[0] == got[0] == math.inf and want[3].tobytes() != got[3].tobytes()
+    draws = compiled._pass_draws
+    monkeypatch.setattr(compiled, "_pass_draws", lambda problem: [diverging, *draws(problem)])
+    monkeypatch.setattr(compiled, "_verdicts", {})
+    assert compiled.cost_pass_for(PVTOL) is not compiled.python_pass
 
 
 def test_a_changed_constant_fails_the_self_check(fresh_build):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpc_autotune import (
-    PredictionGrid,
+    DesignVector,
+    MpcSetting,
     PropagationError,
     hold_input,
     n_steps_for,
@@ -50,19 +51,14 @@ def test_n_steps_nondecreasing_in_mu(a, b, kappa):
     assert n_steps_for(lo, kappa) <= n_steps_for(hi, kappa)
 
 
-# PredictionGrid ---------------------------------------------------------------
+# prediction grid ----------------------------------------------------------------
 
 
 def test_grid_substep_length():
-    grid = PredictionGrid(tau_u=0.06, n_steps=3)
-    assert grid.tau_p == pytest.approx(0.02)
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        PredictionGrid(tau_u=0.0, n_steps=1)
-    with pytest.raises(ValueError):
-        PredictionGrid(tau_u=0.1, n_steps=0)
+    design = DesignVector(kappa=6, mu_d=0.3, n_pred=10, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
+    setting = MpcSetting.from_design(pvtol_problem(), design)
+    assert (setting.tau_u, setting.n_steps) == (pytest.approx(0.06), 3)  # ceil(1 + 0.3 * 5)
+    assert setting.tau_p == pytest.approx(0.02)
 
 
 # rk4_step ----------------------------------------------------------------------
@@ -223,10 +219,9 @@ def test_hold_input_matches_prediction_at_full_precision():
     fine = np.empty((kappa + 1, 1))
     fine[0] = 1.0
     hold_input(cubic, fine, u, NO_P, 0.02)
-    grid = PredictionGrid(tau_u=0.1, n_steps=kappa)
     pred = fine[0]
-    for _ in range(grid.n_steps):
-        pred = rk4_step(cubic, pred, u, NO_P, grid.tau_p)
+    for _ in range(kappa):
+        pred = rk4_step(cubic, pred, u, NO_P, 0.1 / kappa)
     assert fine[-1, 0] == pytest.approx(pred[0], abs=1e-15)
 
 
@@ -236,10 +231,10 @@ def test_hold_input_divergence_reports_step():
     # x' = x^2 from 0.1 blows up at t = 10, inside the fourth update
     states = np.full((11, 1), np.nan)
     states[0] = 0.1
-    with pytest.raises(PropagationError) as err:
+    with pytest.raises(PropagationError, match="^plant propagation diverged at fine step 1$"):
         for k in range(5):
             hold_input(blowup, states[2 * k : 2 * k + 3], np.ones(1), NO_P, 2.0)
-    assert (k, err.value.step) == (3, 1)
+    assert k == 3
     # the rows before the failing step stay filled, the rest stay untouched
     assert np.all(np.isfinite(states[:8, 0]))
     assert np.all(np.isnan(states[8:, 0]))

@@ -187,7 +187,6 @@ def test_fd_fallback_matches_analytic(pvtol, rng):
         q_min=bare.q_min, q_max=bare.q_max, p_nom=bare.p_nom, p_std=bare.p_std,
         rhs=bare.rhs, constraint_map=bare.constraint_map, stage_cost=bare.stage_cost,
         terminal_penalty_base=bare.terminal_penalty_base, u_trim=bare.u_trim,
-        name="pvtol-fd",
     )
     x = rng.uniform(-0.5, 0.5, size=6)
     u = rng.uniform(-3.0, 3.0, size=2)

@@ -19,7 +19,8 @@ import pytest
 import mpc_autotune
 import mpc_autotune.problems
 from mpc_autotune.cli import main
-from mpc_autotune.design import DesignVector, ShapingVector
+from mpc_autotune.controller import TimingSpec
+from mpc_autotune.design import DesignBounds, DesignVector, ShapingVector
 from mpc_autotune.pvtol import pvtol_problem
 from mpc_autotune.runner import (
     NOTE_DELTA,
@@ -43,6 +44,7 @@ from mpc_autotune.tuning import (
     RT_AT_ZERO,
     SURVIVING,
     CandidateRecord,
+    CertificationParams,
     TuningResult,
     required_scenarios,
 )
@@ -170,6 +172,14 @@ def test_config_maps_to_bounds_and_params():
     assert (params.gamma, params.eps, params.dev_acc, params.c_max) == (0.9, 0.2, 2.0, 0.3)
 
 
+def test_config_defaults_are_those_of_the_bounds_params_and_timing():
+    cfg = RunConfig()
+    assert cfg.design_bounds() == DesignBounds()
+    assert cfg.certification_params() == CertificationParams()
+    timing = TimingSpec()
+    assert (cfg.timing_mode, cfg.c_eval, cfg.timing_repeats) == (timing.mode, timing.c_eval, timing.repeats)
+
+
 # artifact writers --------------------------------------------------------------------
 
 
@@ -213,27 +223,17 @@ def synthetic_result():
 def test_settings_csv_schema_and_ordering(tmp_path):
     path = tmp_path / "settings.csv"
     write_settings_csv(path, synthetic_result(), tau=0.01)
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    # survivors by cost, then eliminated, then infeasible
-    assert [r["index"] for r in rows] == ["2", "0", "1", "3"]
-    assert list(rows[0]) == SETTINGS_COLUMNS
-    best = rows[0]
-    assert best["status"] == SURVIVING
-    assert best["kappa"] == "2" and best["N_pred"] == "12"
-    assert float(best["tau_u"]) == pytest.approx(0.02)
-    assert float(best["T"]) == pytest.approx(0.24)
-    assert best["cumulative_cost"] == "5.0"
-    assert best["eliminated_batch"] == "" and best["eliminated_criterion"] == ""
-    gone = rows[2]
-    assert gone["status"] == ELIMINATED
-    assert gone["eliminated_batch"] == "2" and gone["eliminated_criterion"] == RT
-    bad = rows[3]
-    assert bad["status"] == INFEASIBLE_AT_A0
-    assert bad["alpha_hat"] == "" and bad["kappa"] == "" and bad["cumulative_cost"] == ""
-    assert bad["eliminated_criterion"] == RT_AT_ZERO
-    # unix line endings regardless of platform
-    assert b"\r" not in path.read_bytes()
+    # survivors by cost, then eliminated, then infeasible; every cell, with
+    # tau_u = kappa * tau and T = N_pred * tau_u, and unix line endings on
+    # every platform
+    assert path.read_bytes() == (
+        "index,status,alpha_hat,kappa,mu_d,N_pred,n_contr,rho_f,rho_constr,max_iter,tau_u,T,"
+        "cumulative_cost,scenarios_evaluated,eliminated_batch,eliminated_criterion\n"
+        "2,surviving,1.0,2,0.5,12,2,10.0,10000.0,10,0.02,0.24,5.0,6,,\n"
+        "0,surviving,0.5,2,0.5,8,2,10.0,10000.0,10,0.02,0.16,7.25,6,,\n"
+        "1,eliminated,0.25,3,0.5,8,2,10.0,10000.0,10,0.03,0.24,1.5,4,2,rt\n"
+        "3,infeasible_at_A0,,,,,,,,,,,,2,1,rt_at_zero\n"
+    ).encode()
 
 
 def test_trace_dict_echo_and_content():
@@ -451,7 +451,7 @@ def test_calibrated_run_replays_from_its_trace(tmp_path):
 
 def test_cli_rejects_a_point_only_rhs_jac(tmp_path, capsys, monkeypatch):
     def point_jac_problem():
-        return dataclasses.replace(pvtol_problem(), rhs_jac=point_pvtol_rhs_jac, name="pvtol-point-jac")
+        return dataclasses.replace(pvtol_problem(), rhs_jac=point_pvtol_rhs_jac)
 
     monkeypatch.setitem(mpc_autotune.problems._REGISTRY, "pvtol-point-jac", point_jac_problem)
     out = tmp_path / "out"
@@ -471,7 +471,7 @@ def test_cli_rejects_a_point_only_rhs_jac(tmp_path, capsys, monkeypatch):
 def test_cli_rejects_point_only_cost_and_constraint_derivatives(tmp_path, capsys, monkeypatch, callback, point_only,
                                                                  error):
     def point_problem():
-        return dataclasses.replace(pvtol_problem(), **{callback: point_only}, name="pvtol-point")
+        return dataclasses.replace(pvtol_problem(), **{callback: point_only})
 
     monkeypatch.setitem(mpc_autotune.problems._REGISTRY, "pvtol-point", point_problem)
     out = tmp_path / "out"

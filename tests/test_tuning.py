@@ -120,16 +120,14 @@ def test_criteria_on_stopped_report():
 
 
 def test_passes_respects_constraint_margin():
-    assert SetEvaluation(0.0, 0.0, 0.1, 1.0).passes(PARAMS)
-    assert not SetEvaluation(0.0, 0.0, 0.11, 1.0).passes(PARAMS)
-    assert not SetEvaluation(1e-9, 0.0, 0.0, 1.0).passes(PARAMS)
-    assert not SetEvaluation(0.0, 1e-9, 0.0, 1.0).passes(PARAMS)
-    # a NaN fails, and passes() agrees with failed_criterion()
+    assert SetEvaluation(0.0, 0.0, 0.1, 1.0).failed_criterion(PARAMS) is None
+    assert SetEvaluation(0.0, 0.0, 0.11, 1.0).failed_criterion(PARAMS) == CONSTRAINTS
+    assert SetEvaluation(1e-9, 0.0, 0.0, 1.0).failed_criterion(PARAMS) == RT
+    assert SetEvaluation(0.0, 1e-9, 0.0, 1.0).failed_criterion(PARAMS) == CONTRACTION
+    # a NaN fails
     for nan_case, criterion in (((math.nan, 0.0, 0.0), RT), ((0.0, math.nan, 0.0), CONTRACTION),
                                 ((0.0, 0.0, math.nan), CONSTRAINTS)):
-        ev = SetEvaluation(*nan_case, 1.0)
-        assert not ev.passes(PARAMS)
-        assert ev.failed_criterion(PARAMS) == criterion
+        assert SetEvaluation(*nan_case, 1.0).failed_criterion(PARAMS) == criterion
 
 
 def test_failed_criterion_precedence():
