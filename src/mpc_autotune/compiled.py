@@ -1,13 +1,18 @@
-"""The compiled passes: the cost pass and the sensitivity recurrence.
+"""The compiled passes: the cost pass, the gradient pass and the
+sensitivity recurrence.
 
-Two loops of a solve run in one call to a C function each, with the bytes
-of their reference here, which stays the fallback: python_pass, the cost
-pass up to the terminal penalty through the problem's Python callbacks
-(costpass.c, with the problem's c_source in place of its marker line), and
-numpy_recurrence, the forward-sensitivity recurrence of a gradient pass
-(sensitivity.c, whose products call the CBLAS routines numpy's .dot calls).
+Three loops of a solve run in one call to a C function each, with the
+bytes of their reference here, which stays the fallback: python_pass, the
+cost pass up to the terminal penalty through the problem's Python value
+callbacks (costpass.c, with the problem's c_source in place of its marker
+line); python_grad_pass, the gradient pass up to the terminal term through
+its Python derivative callbacks (sensitivity.c and gradpass.c, with the
+c_source in place of the marker line); and numpy_recurrence, the
+forward-sensitivity recurrence of the Python gradient pass (sensitivity.c).
+The products of the C recurrence and gradient pass call the CBLAS routines
+numpy's .dot and matmul call.
 
-Both share one lifecycle.  load compiles a C text with cc into CACHE, a
+All share one lifecycle.  load compiles a C text with cc into CACHE, a
 directory only its owner may write, under a name keyed by the text, the
 flags and the compiler's file, and binds its C function once per process.
 A self-check compares a compiled pass byte for byte with its reference on
@@ -40,16 +45,19 @@ Array = np.ndarray
 
 CC = "cc"
 CACHE = Path("~") / ".cache" / "mpc-autotune"  # the home directory is looked up at the first build
-SOURCES = Path(__file__).parent  # costpass.c and sensitivity.c
-MARKER = b"/* @c_source@ */"  # where a problem's C text goes in costpass.c
-BINDINGS = {  # stem: (flags, libraries, C function, its argument types and result type)
-    "costpass": (("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"), ("-lm",), "cost_pass",
-                 [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
-    "sensitivity": (("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), "sensitivity_pass",
+SOURCES = Path(__file__).parent  # the .c files
+MARKER = b"/* @c_source@ */"  # where a problem's C text goes in costpass.c and gradpass.c
+BINDINGS = {  # stem: (C files, flags, libraries, C function, its argument types and result type)
+    "costpass": (("costpass",), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"), ("-lm",),
+                 "cost_pass", [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
+    "sensitivity": (("sensitivity",), ("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), "sensitivity_pass",
                     [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4, None),
+    "gradpass": (("sensitivity", "gradpass"), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"),
+                 ("-lm",), "grad_pass",
+                 [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 4, None),
 }
-# gemm, gemv and axpy, as numpy's bundled scipy-openblas (64-bit integers) exports them
-BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_")
+# gemm, gemv, axpy and dot, as numpy's bundled scipy-openblas (64-bit integers) exports them
+BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_", "scipy_cblas_ddot64_")
 
 
 def python_pass(
@@ -140,6 +148,72 @@ def numpy_recurrence(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: f
     return S_at
 
 
+def python_grad_pass(
+    problem: ProblemDefinition, states: Array, mask: Array, p: Array, q: Array, z: Array, n_pred: int, n_contr: int,
+    n_steps: int, h: float, tau_u: float, rho_constr: float,
+) -> Array:
+    """The gradient pass up to the terminal term, by forward sensitivities:
+    an (n_x + 1, n_z) array whose first row is the sum of every term of the
+    gradient but the terminal one, and whose other rows are S = dx/dz at
+    the end of the horizon.
+
+    states and mask are the record of a finite cost pass at the same state
+    and decision vector; one rhs_jacobians call on all
+    4 * n_pred * n_steps stage points gives their Jacobians.  Each stage's
+    B is scattered ahead of time into its block's columns of an n_x x n_z
+    array padded with -0.0, which leaves every float it is added to
+    unchanged, so a stage is one product and one add.  Each recorded step
+    propagates S through one RK4 step, and S is kept at every period
+    boundary (propagate).
+
+    The gradient is a sum of terms, one row each: per period the stage
+    cost's tau_u * (lx @ S) and its input part tau_u * lu, then for each
+    active constraint its state and input parts, then the terminal term,
+    which the caller adds.  They come from one stage_cost_grads call on
+    every period start and at most one constraint_jacobians call on the
+    periods with an active constraint, with stacked products, and are
+    summed in that order by one sequential accumulate from +0.0; input parts
+    are rows padded with -0.0.
+    """
+    n_x, n_u, n_z = problem.n_x, problem.n_u, z.size
+    blocks = z.reshape(n_contr, n_u)
+    n_points = 4 * n_pred * n_steps
+    assert len(states) == n_points + 1  # row 4k: the state step k starts from; rows 4k to 4k + 3: its stage points
+    period_blocks = np.minimum(np.arange(n_pred), n_contr - 1)
+    # the input block of each stage point: 4 stages per step, n_steps steps per period
+    point_blocks = np.repeat(period_blocks, 4 * n_steps)
+    A_all, B_all = problem.rhs_jacobians(states[:n_points], blocks[point_blocks], p)
+    B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
+    B_pad[np.arange(n_points), :, point_blocks] = B_all
+    S_at = propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
+
+    period_inputs = blocks[period_blocks]
+    lx, lu = problem.stage_cost_grads(states[: n_points : 4 * n_steps], period_inputs, p, q)
+    # the active constraints as (period, index) pairs, in period order; the
+    # constraint Jacobians come only at the periods with one, and slot k
+    # holds the k-th such period
+    act_periods = np.flatnonzero(mask.any(1))
+    pair_period, pair_index = np.nonzero(mask)
+    pair_slot = np.searchsorted(act_periods, pair_period)
+    n_pairs = pair_index.size
+    n_before = np.searchsorted(pair_period, np.arange(n_pred))  # pairs of the earlier periods
+    stage_rows = 1 + 2 * (np.arange(n_pred) + n_before)
+    terms = np.full((2 * (n_pred + n_pairs) + 1, n_contr, n_u), -0.0)
+    flat_terms = terms.reshape(-1, n_z)
+    flat_terms[0] = 0.0
+    flat_terms[stage_rows] = tau_u * np.matmul(lx[:, None, :], S_at[:n_pred])[:, 0]
+    terms[stage_rows + 1, period_blocks] = tau_u * lu
+    if n_pairs:
+        Cx, Cu = problem.constraint_jacobians(
+            states[4 * n_steps * (act_periods + 1)], period_inputs[act_periods], p, q
+        )
+        scale = rho_constr * tau_u
+        pair_rows = 1 + 2 * (pair_period + 1 + np.arange(n_pairs))
+        flat_terms[pair_rows] = scale * np.matmul(Cx[pair_slot, pair_index][:, None, :], S_at[pair_period + 1])[:, 0]
+        terms[pair_rows + 1, period_blocks[pair_period]] = scale * Cu[pair_slot, pair_index]
+    return np.concatenate((np.cumsum(flat_terms, axis=0)[-1:], S_at[n_pred]))
+
+
 def cost_pass_for(problem: ProblemDefinition) -> Callable:
     """The pass that runs this problem's cost passes, with python_pass's
     arguments: the compiled one once its self-check agreed, else
@@ -150,6 +224,20 @@ def cost_pass_for(problem: ProblemDefinition) -> Callable:
     key = ("costpass", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map,
            problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
     return _verdicts.get(key) or _settle(key, python_pass, lambda: _bind_cost_pass(problem), _pass_draws(problem))
+
+
+def grad_pass_for(problem: ProblemDefinition) -> Callable:
+    """The pass that runs this problem's gradient passes, with
+    python_grad_pass's arguments: the compiled one once its self-check
+    agreed, else python_grad_pass; decided once per process for each
+    c_source, derivative callbacks and sizes.  A problem without one of the
+    three Python derivative callbacks (finite differences) runs in Python."""
+    if problem.c_source is None or None in (problem.rhs_jac, problem.stage_cost_grad, problem.constraint_jac):
+        return python_grad_pass
+    key = ("gradpass", problem.c_source, problem.rhs_jac, problem.stage_cost_grad, problem.constraint_jac,
+           problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
+    return _verdicts.get(key) or _settle(
+        key, python_grad_pass, lambda: _bind_grad_pass(problem), _grad_draws(problem))
 
 
 def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
@@ -166,12 +254,13 @@ def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -
 
 def warm_up(problem: ProblemDefinition, n_zs: Sequence[int]) -> None:
     """Build, load and self-check the recurrence for each n_z and the cost
-    pass for this problem, and build the RK4 kernel for its state.  tune
-    calls it before any solve is timed and before it forks its workers, so
-    that they inherit it all and never compile."""
+    and gradient passes for this problem, and build the RK4 kernel for its
+    state.  tune calls it before any solve is timed and before it forks its
+    workers, so that they inherit it all and never compile."""
     for n_z in n_zs:
         _recurrence_for(problem.n_x, n_z)
     cost_pass_for(problem)
+    grad_pass_for(problem)
     rk4_kernel(problem.n_x)
 
 
@@ -185,10 +274,12 @@ _verdicts: dict[tuple, Callable] = {}  # key -> the pass that runs
 
 def _settle(key: tuple, reference: Callable, bind: Callable[[], Callable | None], draws: Iterable[tuple]) -> Callable:
     """Keep, for key, the compiled pass bind gives if it gives the
-    reference's bytes on every draw of arguments, else the reference."""
+    reference's bytes on every draw of arguments, and there is one, else
+    the reference."""
     compiled = bind()
     with np.errstate(all="ignore"):
-        same = compiled is not None and all(_same(reference(*args), compiled(*args)) for args in draws)
+        agree = (_same(reference(*args), compiled(*args)) for args in draws)
+        same = compiled is not None and next(agree, False) and all(agree)
     found = _verdicts[key] = compiled if same else reference
     return found
 
@@ -207,18 +298,18 @@ def _same(want, got) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def load(stem: str, c_source: str = "") -> Callable | None:
-    """The typed C function of stem.c, compiled with c_source in place of
-    its marker line, or None where it cannot be had: no compiler, no C
-    file, a cache directory another user could write, a failed build (which
-    leaves nothing in the cache) or a missing symbol.  Looked up once per
-    process; the compiler runs only when the cache does not hold the
-    library yet."""
+    """The typed C function of stem's C files, compiled one after the other
+    with c_source in place of the marker line, or None where it cannot be
+    had: no compiler, no C file, a cache directory another user could
+    write, a failed build (which leaves nothing in the cache) or a missing
+    symbol, an undefined one too.  Looked up once per process; the compiler
+    runs only when the cache does not hold the library yet."""
     cc = shutil.which(CC)
     if cc is None:
         return None
-    flags, libs, symbol, argtypes, restype = BINDINGS[stem]
+    files, flags, libs, symbol, argtypes, restype = BINDINGS[stem]
     try:
-        head, _, tail = (SOURCES / f"{stem}.c").read_bytes().partition(MARKER)
+        head, _, tail = b"".join((SOURCES / f"{name}.c").read_bytes() for name in files).partition(MARKER)
         text = head + c_source.encode() + tail
         # the compiler is named by its file, not by running `cc --version`: a load
         # from the cache starts no process, whose ru_maxrss would read as the
@@ -280,18 +371,49 @@ def _bind_cost_pass(problem: ProblemDefinition) -> Callable | None:
     return compiled_pass
 
 
+def _bind_grad_pass(problem: ProblemDefinition) -> Callable | None:
+    """The compiled gradient pass of this problem, with python_grad_pass's
+    arguments and numpy's BLAS routines bound; numpy's BLAS is looked up
+    before anything is built."""
+    routines = _numpy_blas()
+    run = None if routines is None else load("gradpass", problem.c_source)
+    if run is None:
+        return None
+    run = functools.partial(run, *routines)
+    n_x, n_u, n_p, n_q, n_c = problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c
+
+    def compiled_grad_pass(problem, states, mask, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
+        if not (states.shape == (4 * n_pred * n_steps + 1, n_x) and states.dtype == np.float64
+                and mask.shape == (n_pred, n_c) and mask.dtype == np.int8 and z.size == n_contr * n_u):
+            raise ValueError("a gradient pass needs the record of a cost pass of the same sizes")
+        # the inputs go as bytes, whose buffers ctypes passes as they are, and the
+        # result comes in a ctypes array: reading an array's address costs
+        # about a microsecond
+        out = (ctypes.c_double * ((n_x + 1) * z.size))()
+        run(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, states.tobytes(), mask.tobytes(),
+            np.concatenate((p, q, z)).tobytes(), out)
+        return np.frombuffer(out).reshape(n_x + 1, z.size)
+
+    return compiled_grad_pass
+
+
 def _bind_recurrence() -> Callable | None:
     """The compiled recurrence, with numpy_recurrence's arguments and numpy's
     BLAS routines bound; numpy's BLAS is looked up before anything is built."""
+    routines = _numpy_blas()
+    run = None if routines is None else load("sensitivity")
+    return None if run is None else functools.partial(_compiled_recurrence, functools.partial(run, *routines[:3]))
+
+
+def _numpy_blas() -> list[int] | None:
+    """The addresses of BLAS_SYMBOLS in numpy's BLAS, or None."""
     try:
         from numpy._core import _multiarray_umath  # numpy's BLAS is among its dependencies
 
         numpy_blas = ctypes.CDLL(_multiarray_umath.__file__)
-        routines = [ctypes.cast(getattr(numpy_blas, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
+        return [ctypes.cast(getattr(numpy_blas, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
     except (ImportError, OSError, AttributeError):
         return None
-    run = load("sensitivity")
-    return None if run is None else functools.partial(_compiled_recurrence, functools.partial(run, *routines))
 
 
 def _compiled_recurrence(run: Callable, A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
@@ -317,6 +439,15 @@ def _pass_draws(problem: ProblemDefinition) -> Iterator[tuple]:
             rng.uniform(np.tile(problem.u_min, n_contr), np.tile(problem.u_max, n_contr)),
             n_pred, n_contr, n_steps, tau_u / n_steps, tau_u, float(10.0 ** rng.uniform(0.0, 6.0)),
         )
+
+
+def _grad_draws(problem: ProblemDefinition) -> Iterator[tuple]:
+    """The self-check's gradient passes: those of _pass_draws that do not
+    diverge, on the record python_pass leaves."""
+    for problem, x, p, q, z, *rest in _pass_draws(problem):
+        cost, _, states, mask = python_pass(problem, x, p, q, z, *rest)
+        if math.isfinite(cost):
+            yield (problem, states, mask, p, q, z, *rest)
 
 
 def _recurrence_draws(n_x: int, n_z: int) -> Iterator[tuple]:

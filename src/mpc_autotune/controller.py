@@ -178,65 +178,19 @@ def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple)
     """Exact gradient of the objective via forward sensitivities.
 
     record must come from a finite cost pass at the same state and decision
-    vector; its states array is reused, and one rhs_jacobians call on all
-    4 * n_pred * n_steps stage points gives their Jacobians.  Each stage's
-    B is scattered ahead of time into its block's columns of an n_x x n_z
-    array padded with -0.0, which leaves every float it is added to
-    unchanged, so a stage is one product and one add.
-    Each recorded step propagates the sensitivity S = dx/dz through one RK4
-    step, and S is kept at every period boundary (compiled.propagate).
-
-    The gradient is a sum of terms, one row each: per period the stage
-    cost's tau_u * (lx @ S) and its input part tau_u * lu, then for each
-    active constraint its state and input parts, then the terminal term.
-    They come from one stage_cost_grads call on every period start and at
-    most one constraint_jacobians call on the periods with an active
-    constraint, with stacked products, and are summed in that order by one
-    sequential accumulate from +0.0; input parts are rows padded with -0.0.
+    vector.  The sum of every term but the terminal one, and the
+    sensitivity S = dx/dz at the end of the horizon, come from one pass,
+    compiled or in Python (compiled.grad_pass_for), with the same bytes;
+    the terminal term rho_f * (terminal_grad @ S) is one Python call, added
+    last, as the last step of python_grad_pass's ordered sum.
     """
     states, mask = record
     prob, design = setting.problem, setting.design
-    tau_u, h, n_steps = setting.tau_u, setting.tau_p, setting.n_steps
-    n_x, n_u, n_z = prob.n_x, prob.n_u, z.size
-    n_pred, n_contr = design.n_pred, design.n_contr
-    blocks = z.reshape(n_contr, n_u)
-    n_points = 4 * n_pred * n_steps
-    assert len(states) == n_points + 1  # row 4k: the state step k starts from; rows 4k to 4k + 3: its stage points
-    period_blocks = np.minimum(np.arange(n_pred), n_contr - 1)
-    # the input block of each stage point: 4 stages per step, n_steps steps per period
-    point_blocks = np.repeat(period_blocks, 4 * n_steps)
-    A_all, B_all = prob.rhs_jacobians(states[:n_points], blocks[point_blocks], p)
-    B_pad = np.full((n_points, n_x, n_contr, n_u), -0.0)
-    B_pad[np.arange(n_points), :, point_blocks] = B_all
-    S_at = compiled.propagate(A_all, B_pad.reshape(n_points, n_x, n_z), n_pred, n_steps, h)
-    S = S_at[n_pred]
-
-    period_inputs = blocks[period_blocks]
-    lx, lu = prob.stage_cost_grads(states[: n_points : 4 * n_steps], period_inputs, p, q)
-    # the active constraints as (period, index) pairs, in period order; the
-    # constraint Jacobians come only at the periods with one, and slot k
-    # holds the k-th such period
-    act_periods = np.flatnonzero(mask.any(1))
-    pair_period, pair_index = np.nonzero(mask)
-    pair_slot = np.searchsorted(act_periods, pair_period)
-    n_pairs = pair_index.size
-    n_before = np.searchsorted(pair_period, np.arange(n_pred))  # pairs of the earlier periods
-    stage_rows = 1 + 2 * (np.arange(n_pred) + n_before)
-    terms = np.full((2 * (n_pred + n_pairs) + 2, n_contr, n_u), -0.0)
-    flat_terms = terms.reshape(-1, n_z)
-    flat_terms[0] = 0.0
-    flat_terms[stage_rows] = tau_u * np.matmul(lx[:, None, :], S_at[:n_pred])[:, 0]
-    terms[stage_rows + 1, period_blocks] = tau_u * lu
-    if n_pairs:
-        Cx, Cu = prob.constraint_jacobians(
-            states[4 * n_steps * (act_periods + 1)], period_inputs[act_periods], p, q
-        )
-        scale = design.rho_constr * tau_u
-        pair_rows = 1 + 2 * (pair_period + 1 + np.arange(n_pairs))
-        flat_terms[pair_rows] = scale * np.matmul(Cx[pair_slot, pair_index][:, None, :], S_at[pair_period + 1])[:, 0]
-        terms[pair_rows + 1, period_blocks[pair_period]] = scale * Cu[pair_slot, pair_index]
-    flat_terms[-1] = design.rho_f * (prob.terminal_grad(states[-1], p, q) @ S)
-    return np.cumsum(flat_terms, axis=0)[-1]
+    out = compiled.grad_pass_for(prob)(
+        prob, states, mask, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
+        design.rho_constr,
+    )
+    return out[0] + design.rho_f * (prob.terminal_grad(states[-1], p, q) @ out[1:])
 
 
 def open_loop_gradient(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> Array:

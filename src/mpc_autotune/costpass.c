@@ -1,7 +1,7 @@
 /* The cost pass of a problem that gives its value callbacks in C, as
- * costpass.python_pass computes it, in one call.
+ * compiled.python_pass computes it, in one call.
  *
- * costpass.py compiles this file with the problem's c_source put in place
+ * compiled.py compiles this file with the problem's c_source put in place
  * of the marker line below: first the includes and the three prototypes
  * the c_source must define, then the c_source, then the driver.  Every RK4
  * step follows integration.rk4_kernel's operations in order, and the

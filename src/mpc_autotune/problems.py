@@ -59,14 +59,27 @@ class ProblemDefinition:
         double stage_cost(const double *x, const double *u, const double *p, const double *q);
         void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c);
 
-    They must compute the same floats as rhs, stage_cost and constraint_map
-    do, operation for operation (Python evaluates a + b * c + d as
-    (a + (b * c)) + d; math.sin is libm's sin); constraint_map is still
-    defined, with an empty body, when n_c is 0.  Given it, the cost pass
-    runs in one compiled call (compiled.py), once a self-check per process
-    has found the Python pass's bytes on random passes; otherwise, and
-    without a C compiler, the Python callbacks run.  The terminal penalty
-    and the derivatives stay in Python.
+    and, optionally, the three derivative callbacks a gradient pass calls,
+    each for one point, writing row-major arrays: A (n_x x n_x) and B
+    (n_x x n_u); lx (n_x) and lu (n_u); Cx (n_c x n_x) and Cu (n_c x n_u):
+
+        void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B);
+        void stage_cost_grad(const double *x, const double *u, const double *p, const double *q,
+                             double *lx, double *lu);
+        void constraint_jac(const double *x, const double *u, const double *p, const double *q,
+                            double *Cx, double *Cu);
+
+    They must compute the same floats as their Python callbacks do,
+    operation for operation (Python evaluates a + b * c + d as
+    (a + (b * c)) + d; math.sin is libm's sin, and so must np.sin be for a
+    derivative that calls it); constraint_map and constraint_jac are still
+    defined, with empty bodies, when n_c is 0.  Given the value callbacks,
+    the cost pass runs in one compiled call (compiled.py), and given the
+    derivatives, with rhs_jac, stage_cost_grad and constraint_jac all set,
+    so does the gradient pass, each once a self-check per process has found
+    the Python pass's bytes on random passes; otherwise, and without a C
+    compiler, the Python callbacks run.  The terminal penalty and its
+    gradient stay in Python.
     """
 
     n_x: int

@@ -113,9 +113,13 @@ def pvtol_constraints(x: tuple, u: tuple, p: tuple, q: tuple) -> tuple[float, ..
     return (theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4)
 
 
-# the three value callbacks above in C, operation for operation, for the
-# compiled cost pass (ProblemDefinition.c_source); the weights are written
-# with repr, which round-trips every float
+# the three value callbacks and the three derivative callbacks in C,
+# operation for operation, for the compiled cost and gradient passes
+# (ProblemDefinition.c_source); the weights are written with repr, which
+# round-trips every float, and sin and cos are libm's, which np.sin and
+# np.cos equal on float64 here (a numpy whose sin differs fails the
+# gradient pass's self-check, and the Python callbacks run)
+_2Q, _2R, _TRIM = _2Q_DIAG.tolist(), _2R_DIAG.tolist(), U_TRIM.tolist()
 PVTOL_C_SOURCE = f"""
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {{
@@ -143,6 +147,48 @@ void constraint_map(const double *x, const double *u, const double *p, const dou
     c[1] = -x[5] - q[2];
     c[2] = x[2] - q[3];
     c[3] = -x[2] - q[3];
+}}
+
+void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
+{{
+    const double s = sin(x[2]), c = cos(x[2]);
+    const double p1u2 = p[0] * u[1];
+    for (int i = 0; i < 36; i++)
+        A[i] = 0.0;
+    A[0 * 6 + 3] = A[1 * 6 + 4] = A[2 * 6 + 5] = 1.0;
+    A[3 * 6 + 2] = -u[0] * c - p1u2 * s;
+    A[4 * 6 + 2] = -u[0] * s + p1u2 * c;
+    for (int i = 0; i < 12; i++)
+        B[i] = 0.0;
+    B[3 * 2 + 0] = -s;
+    B[3 * 2 + 1] = p[0] * c;
+    B[4 * 2 + 0] = c;
+    B[4 * 2 + 1] = p[0] * s;
+    B[5 * 2 + 1] = p[1];
+}}
+
+void stage_cost_grad(const double *x, const double *u, const double *p, const double *q, double *lx, double *lu)
+{{
+    lx[0] = (x[0] - q[0]) * {_2Q[0]!r};
+    lx[1] = (x[1] - q[1]) * {_2Q[1]!r};
+    lx[2] = x[2] * {_2Q[2]!r};
+    lx[3] = x[3] * {_2Q[3]!r};
+    lx[4] = x[4] * {_2Q[4]!r};
+    lx[5] = x[5] * {_2Q[5]!r};
+    lu[0] = (u[0] - {_TRIM[0]!r}) * {_2R[0]!r};
+    lu[1] = (u[1] - {_TRIM[1]!r}) * {_2R[1]!r};
+}}
+
+void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu)
+{{
+    for (int i = 0; i < 24; i++)
+        Cx[i] = 0.0;
+    Cx[0 * 6 + 5] = 1.0;
+    Cx[1 * 6 + 5] = -1.0;
+    Cx[2 * 6 + 2] = 1.0;
+    Cx[3 * 6 + 2] = -1.0;
+    for (int i = 0; i < 8; i++)
+        Cu[i] = 0.0;
 }}
 """
 

@@ -93,10 +93,32 @@ def quadratic_problem(u_span: float = 10.0) -> ProblemDefinition:
     )
 
 
+def oscillator_rhs_jac(x, u, p):
+    lead = x.shape[:-1]
+    A = np.empty(lead + (2, 2))
+    A[...] = ((0.0, 1.0), (-1.0, -0.5))
+    B = np.zeros(lead + (2, 1))
+    B[..., 1, 0] = p[0]
+    return A, B
+
+
+def oscillator_stage_cost_grad(x, u, p, q):
+    lx = np.empty(x.shape)
+    lx[..., 0] = (x[..., 0] - q[0]) * 2.0
+    lx[..., 1] = x[..., 1] * 2.0
+    return lx, u * 0.2
+
+
+def oscillator_constraint_jac(x, u, p, q):
+    lead = x.shape[:-1]
+    return np.zeros(lead + (0, 2)), np.zeros(lead + (0, 1))
+
+
 def oscillator_problem() -> ProblemDefinition:
     """A damped oscillator xdot = (x[1], -x[0] - 0.5 * x[1] + p[0] * u[0])
-    with quadratic costs and no constraint (n_c = 0), and its value
-    callbacks in C."""
+    with quadratic costs and no constraint (n_c = 0), and its value and
+    derivative callbacks in C: one input, so that one input block gives a
+    sensitivity of one column, which numpy multiplies with gemv and dot."""
     return ProblemDefinition(
         n_x=2,
         n_u=1,
@@ -116,6 +138,9 @@ def oscillator_problem() -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: (),
         stage_cost=lambda x, u, p, q: (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0],
         terminal_penalty_base=lambda x, p, q: x[0] * x[0] + x[1] * x[1],
+        rhs_jac=oscillator_rhs_jac,
+        stage_cost_grad=oscillator_stage_cost_grad,
+        constraint_jac=oscillator_constraint_jac,
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {
@@ -127,15 +152,44 @@ double stage_cost(const double *x, const double *u, const double *p, const doubl
     return (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0];
 }
 void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c) {}
+void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
+{
+    A[0] = 0.0;
+    A[1] = 1.0;
+    A[2] = -1.0;
+    A[3] = -0.5;
+    B[0] = 0.0;
+    B[1] = p[0];
+}
+void stage_cost_grad(const double *x, const double *u, const double *p, const double *q, double *lx, double *lu)
+{
+    lx[0] = (x[0] - q[0]) * 2.0;
+    lx[1] = x[1] * 2.0;
+    lu[0] = u[0] * 0.2;
+}
+void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu) {}
 """,
     )
+
+
+def cubic_rhs_jac(x, u, p):
+    return (x * x * 3.0)[..., None], np.ones(x.shape + (1,))
+
+
+def cubic_stage_cost_grad(x, u, p, q):
+    return x * 2.0, u * 2.0
+
+
+def cubic_constraint_jac(x, u, p, q):
+    return np.ones(x.shape + (1,)), np.zeros(u.shape + (1,))
 
 
 def cubic_problem() -> ProblemDefinition:
     """Plant xdot = x^3 + u, written with multiplications only, so that a
     pass from a large state overflows to inf (and on to NaN) as Python's
-    floats do, without raising; constraint x <= 1.  Its value callbacks
-    are in C too."""
+    floats do, without raising; constraint x <= 1.  Its value and
+    derivative callbacks are in C too: one state, so that numpy multiplies
+    the sensitivities by its scalar rule."""
     return ProblemDefinition(
         n_x=1,
         n_u=1,
@@ -155,6 +209,9 @@ def cubic_problem() -> ProblemDefinition:
         constraint_map=lambda x, u, p, q: (x[0] - 1.0,),
         stage_cost=lambda x, u, p, q: x[0] * x[0] + u[0] * u[0],
         terminal_penalty_base=lambda x, p, q: x[0] * x[0],
+        rhs_jac=cubic_rhs_jac,
+        stage_cost_grad=cubic_stage_cost_grad,
+        constraint_jac=cubic_constraint_jac,
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {
@@ -167,6 +224,21 @@ double stage_cost(const double *x, const double *u, const double *p, const doubl
 void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c)
 {
     c[0] = x[0] - 1.0;
+}
+void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
+{
+    A[0] = x[0] * x[0] * 3.0;
+    B[0] = 1.0;
+}
+void stage_cost_grad(const double *x, const double *u, const double *p, const double *q, double *lx, double *lu)
+{
+    lx[0] = x[0] * 2.0;
+    lu[0] = u[0] * 2.0;
+}
+void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu)
+{
+    Cx[0] = 1.0;
+    Cu[0] = 0.0;
 }
 """,
     )

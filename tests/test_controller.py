@@ -325,6 +325,8 @@ def test_gradient_matches_inplace_reference_bit_for_bit(prob, bounds, draws, rec
 
 
 def test_one_rhs_jac_call_per_gradient_pass():
+    # on the Python gradient pass; a compiled pass calls the Python
+    # derivatives only in its self-check (test_compiled_grad_passes_...)
     calls = []
     pvtol = pvtol_problem()
 
@@ -332,7 +334,7 @@ def test_one_rhs_jac_call_per_gradient_pass():
         calls.append((x.shape, u.shape))
         return pvtol.rhs_jac(x, u, p)
 
-    prob = dataclasses.replace(pvtol, rhs_jac=counting_rhs_jac)
+    prob = dataclasses.replace(pvtol, rhs_jac=counting_rhs_jac, c_source=None)
     design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
     setting = MpcSetting.from_design(prob, design)
     scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
@@ -343,7 +345,8 @@ def test_one_rhs_jac_call_per_gradient_pass():
 
 
 def test_per_period_callbacks_are_called_once_per_gradient_pass():
-    pvtol = pvtol_problem()
+    # on the Python gradient pass, as the test above
+    pvtol = dataclasses.replace(pvtol_problem(), c_source=None)
     calls = {"stage_cost_grad": [], "constraint_map": [], "constraint_jac": []}
 
     def counting(name):
@@ -353,6 +356,7 @@ def test_per_period_callbacks_are_called_once_per_gradient_pass():
         return callback
 
     prob = dataclasses.replace(pvtol, **{name: counting(name) for name in calls})
+    assert compiled.grad_pass_for(prob) is compiled.python_grad_pass
     design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
     setting = MpcSetting.from_design(prob, design)
     scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
@@ -519,6 +523,7 @@ def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
     prob.rhs = counting(counts, "rhs", prob.rhs)
     assert compiled.cost_pass_for(prob) is not compiled.python_pass
     assert counts["compiled"] == counts["python"] > 0 and counts["rhs"] > 0 and counts["cost passes"] == 0
+    compiled.grad_pass_for(prob)  # whose self-check runs the Python cost pass too
     x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
     passes = []
     for timing in (COST_TIMING, TimingSpec("cost-model", c_eval=1.0e-6, repeats=3), TimingSpec("wallclock", repeats=3)):
@@ -527,6 +532,28 @@ def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
         assert counts["compiled"] == counts["cost passes"] > 0 and counts["python"] == counts["rhs"] == 0
         passes.append(counts["cost passes"])
     assert passes[1] == passes[0] and passes[2] == 3 * passes[0]
+
+
+def test_compiled_grad_passes_call_no_python_derivative_after_the_self_check(monkeypatch):
+    # once the self-check has run the Python gradient pass, every gradient
+    # pass of a solve is one compiled call, which calls none of the Python
+    # derivative callbacks and leaves the terminal gradient to Python
+    prob, setting = pvtol_setting()
+    if compiled._bind_grad_pass(prob) is None:
+        pytest.skip("the compiled gradient pass cannot be built here")
+    names = ("rhs_jac", "stage_cost_grad", "constraint_jac", "terminal_penalty_grad")
+    counts = dict.fromkeys(names + ("gradient passes",), 0)
+    for name in names:
+        setattr(prob, name, counting(counts, name, getattr(prob, name)))
+    monkeypatch.setattr(compiled, "_verdicts", {})
+    monkeypatch.setattr(controller, "_grad_pass", counting(counts, "gradient passes", controller._grad_pass))
+    assert compiled.grad_pass_for(prob) is not compiled.python_grad_pass
+    assert all(counts[name] > 0 for name in ("rhs_jac", "stage_cost_grad", "constraint_jac"))
+    counts.update(dict.fromkeys(counts, 0))
+    x0 = np.array([0.9, 0.9, 0.3, 0.5, -0.5, 0.5])
+    solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), COST_TIMING)
+    assert counts["gradient passes"] == counts["terminal_penalty_grad"] > 0
+    assert counts["rhs_jac"] == counts["stage_cost_grad"] == counts["constraint_jac"] == 0
 
 
 # closed loop -----------------------------------------------------------------------

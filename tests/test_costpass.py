@@ -17,6 +17,10 @@ from conftest import cubic_problem, oscillator_problem
 PVTOL = pvtol_problem()
 TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
 
+# PVTOL's c_source with one constant of rhs_jac changed, and without the derivatives
+CHANGED_DERIVATIVE = PVTOL.c_source.replace("= p[1];", "= p[1] * 1.0000000000000002;")
+VALUES_ONLY = PVTOL.c_source[: PVTOL.c_source.index("void rhs_jac")]
+
 
 def compiled_pass(prob):
     fast = compiled._bind_cost_pass(prob)
@@ -140,6 +144,12 @@ def test_a_changed_constant_fails_the_self_check(fresh_build):
     # the key holds the callbacks: a replaced rhs is checked anew, and fails
     assert compiled.cost_pass_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
         is compiled.python_pass
+    # a changed constant in a derivative fails only the gradient pass's self-check
+    altered = dataclasses.replace(PVTOL, c_source=CHANGED_DERIVATIVE)
+    assert compiled._bind_grad_pass(altered) is not None
+    assert compiled.grad_pass_for(altered) is compiled.python_grad_pass
+    assert compiled.cost_pass_for(altered) is not compiled.python_pass
+    assert compiled.grad_pass_for(PVTOL) is not compiled.python_grad_pass
 
 
 def tiny_artifacts(out: Path, **changes) -> list[bytes]:
@@ -150,19 +160,25 @@ def tiny_artifacts(out: Path, **changes) -> list[bytes]:
 
 
 def ran_compiled(stem: str = "costpass") -> bool:
-    """Whether the run's cost pass (one verdict), or its recurrence (one
+    """Whether the run's cost or gradient pass (one verdict; none for a
+    gradient pass decided without a self-check), or its recurrence (one
     verdict per size, all alike), ran compiled."""
     runs = {found for key, found in compiled._verdicts.items() if key[0] == stem}
-    if stem == "costpass":
-        (pass_,) = runs
-        return pass_ is not compiled.python_pass
-    assert runs and (compiled.numpy_recurrence not in runs or runs == {compiled.numpy_recurrence})
-    return compiled.numpy_recurrence not in runs
+    if stem == "sensitivity":
+        assert runs and (compiled.numpy_recurrence not in runs or runs == {compiled.numpy_recurrence})
+        return compiled.numpy_recurrence not in runs
+    if stem == "gradpass" and not runs:
+        return False
+    (pass_,) = runs
+    return pass_ not in (compiled.python_pass, compiled.python_grad_pass)
+
 
 
 def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypatch):
+    cc = compiled.CC
     want = tiny_artifacts(tmp_path / "compiled")
-    assert ran_compiled() and fresh_build("costpass") == [os.getpid()]
+    assert ran_compiled() and ran_compiled("gradpass")
+    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()]
 
     def fresh():
         monkeypatch.setattr(compiled, "_verdicts", {})
@@ -172,33 +188,54 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
     fresh()
     monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", pvtol.PVTOL_C_SOURCE.replace("- 1.0;", "- 1.0000000000000002;"))
     assert tiny_artifacts(tmp_path / "mismatch") == want and not ran_compiled()
+    # the same for a derivative: the cost pass still runs compiled
+    fresh()
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", CHANGED_DERIVATIVE)
+    assert tiny_artifacts(tmp_path / "derivative-mismatch") == want
+    assert ran_compiled() and not ran_compiled("gradpass")
+    # a c_source without the derivatives: its gradient library does not load
+    fresh()
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", VALUES_ONLY)
+    assert tiny_artifacts(tmp_path / "values-only") == want and ran_compiled() and not ran_compiled("gradpass")
     # a c_source that does not compile: nothing is left in the cache
     fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", pvtol.PVTOL_C_SOURCE + "\nnot C at all\n")
+    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source + "\nnot C at all\n")
     cached = sorted((tmp_path / "cache").iterdir())
-    assert tiny_artifacts(tmp_path / "failed-build") == want and not ran_compiled()
+    assert tiny_artifacts(tmp_path / "failed-build") == want and not ran_compiled() and not ran_compiled("gradpass")
     assert sorted((tmp_path / "cache").iterdir()) == cached
-    assert fresh_build("costpass") == [os.getpid()] * 3
+    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
     monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
-    # either C file missing, as from an install without the package data: its pass falls back
+    # any C file missing, as from an install without the package data: the passes it is part of fall back
     sources = compiled.SOURCES
-    for missing in ("costpass.c", "sensitivity.c"):
+    c_files = {"costpass.c", "sensitivity.c", "gradpass.c"}
+    for missing in sorted(c_files):
         fresh()
         kept = tmp_path / f"without-{missing}"
         kept.mkdir()
-        for name in {"costpass.c", "sensitivity.c"} - {missing}:
+        for name in c_files - {missing}:
             shutil.copy(sources / name, kept)
         monkeypatch.setattr(compiled, "SOURCES", kept)
         assert tiny_artifacts(tmp_path / f"no-{missing}") == want
         assert ran_compiled() == (missing != "costpass.c")
         assert ran_compiled("sensitivity") == (missing != "sensitivity.c")
+        assert ran_compiled("gradpass") == (missing == "costpass.c")  # gradpass.c is built after sensitivity.c
     monkeypatch.setattr(compiled, "SOURCES", sources)
-    assert fresh_build("costpass") == [os.getpid()] * 3 and fresh_build() == [os.getpid()]
+    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
+    assert fresh_build() == [os.getpid()]
     # no compiler
     fresh()
     monkeypatch.setattr(compiled, "CC", "no-such-compiler")
-    assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled()
-    assert fresh_build("costpass") == [os.getpid()] * 3
+    assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled() and not ran_compiled("gradpass")
+    # a Python derivative left to finite differences: the gradient pass runs in
+    # Python without a self-check, as without a compiler
+    monkeypatch.setattr(pvtol, "pvtol_constraint_jac", None)
+    fresh()
+    by_differences = tiny_artifacts(tmp_path / "differences-no-compiler")
+    monkeypatch.setattr(compiled, "CC", cc)
+    fresh()
+    assert tiny_artifacts(tmp_path / "differences") == by_differences
+    assert ran_compiled() and not ran_compiled("gradpass")
+    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
 
 
 def test_every_c_file_is_package_data():
@@ -232,6 +269,61 @@ def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_
     assert fresh_build("costpass") == [os.getpid()]
     assert ran_compiled()  # the parent self-checked; the workers ran the passes
     assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
+
+
+def apply_fallback(case, tmp_path, monkeypatch):
+    """Leave PVTOL's gradient passes to Python, one way or another."""
+    if case == "no-compiler":
+        monkeypatch.setattr(compiled, "CC", "no-such-compiler")
+    elif case == "no-gradpass.c":  # as from an install without the package data
+        kept = tmp_path / "sources"
+        kept.mkdir()
+        for name in ("costpass.c", "sensitivity.c"):
+            shutil.copy(compiled.SOURCES / name, kept)
+        monkeypatch.setattr(compiled, "SOURCES", kept)
+    elif case == "values-only-c-source":
+        monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", VALUES_ONLY)
+    elif case == "changed-derivative-constant":
+        monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", CHANGED_DERIVATIVE)
+    elif case == "finite-difference-constraint-jac":
+        monkeypatch.setattr(pvtol, "pvtol_constraint_jac", None)
+
+
+@pytest.mark.parametrize("case", ["compiled", "no-compiler", "no-gradpass.c", "values-only-c-source",
+                                  "changed-derivative-constant", "finite-difference-constraint-jac"])
+def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, fresh_build, monkeypatch):
+    """The parent builds and self-checks the gradient pass, compiled or not,
+    and the workers run the gradient passes without compiling anything;
+    the pooled run's artifacts are those of a run in one process."""
+    apply_fallback(case, tmp_path, monkeypatch)
+    passes = tmp_path / "passes"
+
+    def logged(*args):
+        with open(passes, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    real = controller._grad_pass
+    monkeypatch.setattr(controller, "_grad_pass", logged)
+    artifacts = []
+    for jobs in (2, 1):
+        out = tmp_path / f"jobs-{jobs}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(RunConfig(**TINY, jobs=jobs, out_dir=str(out)))
+        artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
+        if jobs == 2:
+            assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}  # the workers ran the passes
+            for stem in ("costpass", "sensitivity", "gradpass"):
+                assert set(fresh_build(stem)) <= {os.getpid()}
+            verdicts = [found for key, found in compiled._verdicts.items() if key[0] == "gradpass"]
+            assert len(verdicts) == (case != "finite-difference-constraint-jac")
+            assert (verdicts != [] and verdicts[0] is not compiled.python_grad_pass) == (case == "compiled")
+        monkeypatch.setattr(compiled, "_verdicts", {})
+        compiled.load.cache_clear()
+    assert artifacts[0] == artifacts[1]
+    assert fresh_build("gradpass") == ([] if case in ("no-compiler", "no-gradpass.c", "finite-difference-constraint-jac")
+                                       else [os.getpid()])
 
 
 NO_LAZY_NUMPY_MA = """

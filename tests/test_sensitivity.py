@@ -23,7 +23,8 @@ from mpc_autotune import (
 )
 from mpc_autotune import compiled
 
-PVTOL = pvtol_problem()
+# without c_source, so that its gradient passes run in Python, on the recurrence
+PVTOL = dataclasses.replace(pvtol_problem(), c_source=None)
 TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
 
 
@@ -153,6 +154,8 @@ def test_a_transposed_jacobian_keeps_the_numpy_path(recurrence, monkeypatch):
 
 
 def test_a_pooled_run_builds_the_library_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
+    # on the Python gradient pass, which runs the recurrence
+    monkeypatch.setattr(compiled, "_bind_grad_pass", lambda problem: None)
     passes = tmp_path / "passes"
     real = compiled._compiled_recurrence
 
