@@ -1,24 +1,24 @@
 """The compiled passes: the cost pass, the gradient pass and the
 sensitivity recurrence.
 
-Three loops of a solve run in one call to a C function each, with the
-bytes of their reference here, which stays the fallback: python_pass, the
-cost pass up to the terminal penalty through the problem's Python value
-callbacks (costpass.c, with the problem's c_source in place of its marker
-line); python_grad_pass, the gradient pass up to the terminal term through
-its Python derivative callbacks (sensitivity.c and gradpass.c, with the
-c_source in place of the marker line); and numpy_recurrence, the
-forward-sensitivity recurrence of the Python gradient pass (sensitivity.c).
-The products of the C recurrence and gradient pass call the CBLAS routines
-numpy's .dot and matmul call.
+Each runs in one call to a C function, with the bytes of its reference
+here, which stays the fallback.  Two libraries hold them: passes
+(sensitivity.c, then passes.c with the problem's c_source in place of its
+marker line) the cost and gradient passes of a problem that gives its six
+callbacks in C, whose references are python_pass and python_grad_pass (up
+to the terminal penalty and term, through the Python callbacks); and
+sensitivity (sensitivity.c) the recurrence of the Python gradient pass,
+whose reference is numpy_recurrence.  The products of the C recurrence and
+gradient pass call the CBLAS routines numpy's .dot and matmul call.
 
-All share one lifecycle.  load compiles a C text with cc into CACHE, a
+Both share one lifecycle.  load compiles a library with cc into CACHE, a
 directory only its owner may write, under a name keyed by the text, the
-flags and the compiler's file, and binds its C function once per process.
-A self-check compares a compiled pass byte for byte with its reference on
-random passes, once per process for each key, and _verdicts keeps the pass
-that runs.  The reference runs on any failure: no compiler, no C file, a
-failed build, a missing symbol (numpy's BLAS routines too, as with MKL or a
+flags and the compiler's file, and binds its C functions once per process.
+A self-check compares them byte for byte with their reference on random
+draws, once per process for each key, and _verdicts keeps what runs: both
+passes compiled or both in Python.  The reference runs on any failure: no
+compiler, no C file, a failed build (a c_source missing a callback fails
+to link), a missing symbol (numpy's BLAS routines too, as with MKL or a
 system BLAS) or a mismatch.  warm_up does all of it ahead of a run.
 """
 
@@ -34,7 +34,7 @@ import subprocess
 import tempfile
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,15 +46,17 @@ Array = np.ndarray
 CC = "cc"
 CACHE = Path("~") / ".cache" / "mpc-autotune"  # the home directory is looked up at the first build
 SOURCES = Path(__file__).parent  # the .c files
-MARKER = b"/* @c_source@ */"  # where a problem's C text goes in costpass.c and gradpass.c
-BINDINGS = {  # stem: (C files, flags, libraries, C function, its argument types and result type)
-    "costpass": (("costpass",), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"), ("-lm",),
-                 "cost_pass", [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
-    "sensitivity": (("sensitivity",), ("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), "sensitivity_pass",
-                    [ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4, None),
-    "gradpass": (("sensitivity", "gradpass"), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC"),
-                 ("-lm",), "grad_pass",
-                 [ctypes.c_void_p] * 4 + [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 4, None),
+MARKER = b"/* @c_source@ */"  # where a problem's C text goes in passes.c
+BINDINGS = {  # stem: (C files, flags, libraries, {C function: (its argument types, result type)})
+    "sensitivity": (("sensitivity",), ("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), {
+        "sensitivity_pass": ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4,
+                             None)}),
+    # -z defs fails the link of a c_source that leaves one of the six callbacks undefined
+    "passes": (("sensitivity", "passes"), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC",
+                                          "-Wl,-z,defs"), ("-lm",), {
+        "cost_pass": ([ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
+        "grad_pass": ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 4,
+                      None)}),
 }
 # gemm, gemv, axpy and dot, as numpy's bundled scipy-openblas (64-bit integers) exports them
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_", "scipy_cblas_ddot64_")
@@ -214,30 +216,20 @@ def python_grad_pass(
     return np.concatenate((np.cumsum(flat_terms, axis=0)[-1:], S_at[n_pred]))
 
 
-def cost_pass_for(problem: ProblemDefinition) -> Callable:
-    """The pass that runs this problem's cost passes, with python_pass's
-    arguments: the compiled one once its self-check agreed, else
-    python_pass; decided once per process for each c_source, callbacks and
-    sizes."""
-    if problem.c_source is None:
-        return python_pass
-    key = ("costpass", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map,
-           problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
-    return _verdicts.get(key) or _settle(key, python_pass, lambda: _bind_cost_pass(problem), _pass_draws(problem))
-
-
-def grad_pass_for(problem: ProblemDefinition) -> Callable:
-    """The pass that runs this problem's gradient passes, with
-    python_grad_pass's arguments: the compiled one once its self-check
-    agreed, else python_grad_pass; decided once per process for each
-    c_source, derivative callbacks and sizes.  A problem without one of the
-    three Python derivative callbacks (finite differences) runs in Python."""
+def passes_for(problem: ProblemDefinition) -> tuple[Callable, Callable]:
+    """The cost pass and the gradient pass that run this problem's passes,
+    with python_pass's and python_grad_pass's arguments: both compiled once
+    their self-check agreed, else both in Python; decided once per process
+    for each c_source, six callbacks and sizes.  A problem without a
+    c_source, or without one of the three Python derivative callbacks
+    (finite differences), runs in Python without a self-check."""
     if problem.c_source is None or None in (problem.rhs_jac, problem.stage_cost_grad, problem.constraint_jac):
-        return python_grad_pass
-    key = ("gradpass", problem.c_source, problem.rhs_jac, problem.stage_cost_grad, problem.constraint_jac,
-           problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
+        return python_pass, python_grad_pass
+    key = ("passes", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map, problem.rhs_jac,
+           problem.stage_cost_grad, problem.constraint_jac, problem.n_x, problem.n_u, problem.n_p, problem.n_q,
+           problem.n_c)
     return _verdicts.get(key) or _settle(
-        key, python_grad_pass, lambda: _bind_grad_pass(problem), _grad_draws(problem))
+        key, (python_pass, python_grad_pass), _bind_passes(problem), lambda passes: _agree(problem, *passes))
 
 
 def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
@@ -253,41 +245,39 @@ def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -
 
 
 def warm_up(problem: ProblemDefinition, n_zs: Sequence[int]) -> None:
-    """Build, load and self-check the recurrence for each n_z and the cost
-    and gradient passes for this problem, and build the RK4 kernel for its
-    state.  tune calls it before any solve is timed and before it forks its
-    workers, so that they inherit it all and never compile."""
+    """Build, load and self-check the recurrence for each n_z and the
+    passes for this problem, and build the RK4 kernel for its state.  tune
+    calls it before any solve is timed and before it forks its workers, so
+    that they inherit it all and never compile."""
     for n_z in n_zs:
         _recurrence_for(problem.n_x, n_z)
-    cost_pass_for(problem)
-    grad_pass_for(problem)
+    passes_for(problem)
     rk4_kernel(problem.n_x)
 
 
 def _recurrence_for(n_x: int, n_z: int) -> Callable:
     key = ("sensitivity", n_x, n_z)
-    return _verdicts.get(key) or _settle(key, numpy_recurrence, _bind_recurrence, _recurrence_draws(n_x, n_z))
+    return _verdicts.get(key) or _settle(key, numpy_recurrence, _bind_recurrence(), lambda run: (
+        _same(numpy_recurrence(*args), run(*args)) for args in _recurrence_draws(n_x, n_z)))
 
 
-_verdicts: dict[tuple, Callable] = {}  # key -> the pass that runs
+_verdicts: dict[tuple, Callable | tuple] = {}  # key -> the recurrence, or the pair of passes, that runs
 
 
-def _settle(key: tuple, reference: Callable, bind: Callable[[], Callable | None], draws: Iterable[tuple]) -> Callable:
-    """Keep, for key, the compiled pass bind gives if it gives the
-    reference's bytes on every draw of arguments, and there is one, else
-    the reference."""
-    compiled = bind()
+def _settle(key: tuple, reference, compiled, agree: Callable[[object], Iterator[bool]]):
+    """Keep, for key, what is compiled if it gives the reference's bytes on
+    every draw agree checks, and there is one, else the reference."""
     with np.errstate(all="ignore"):
-        agree = (_same(reference(*args), compiled(*args)) for args in draws)
-        same = compiled is not None and next(agree, False) and all(agree)
+        checks = iter(()) if compiled is None else agree(compiled)
+        same = next(checks, False) and all(checks)
     found = _verdicts[key] = compiled if same else reference
     return found
 
 
 def _same(want, got) -> bool:
-    """Whether got has want's bytes: all of a recurrence's; a cost pass's
-    cost, steps, the states want reached, and, unless it diverged, mask (a
-    diverged record is never read)."""
+    """Whether got has want's bytes: all of a recurrence's or a gradient
+    pass's; a cost pass's cost, steps, the states want reached, and, unless
+    it diverged, mask (a diverged record is never read)."""
     if isinstance(want, np.ndarray):
         return got.tobytes() == want.tobytes()
     cost, steps, states, mask = want
@@ -297,9 +287,9 @@ def _same(want, got) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def load(stem: str, c_source: str = "") -> Callable | None:
-    """The typed C function of stem's C files, compiled one after the other
-    with c_source in place of the marker line, or None where it cannot be
+def load(stem: str, c_source: str = "") -> tuple[Callable, ...] | None:
+    """The typed C functions of stem's C files, compiled one after the other
+    with c_source in place of the marker line, or None where they cannot be
     had: no compiler, no C file, a cache directory another user could
     write, a failed build (which leaves nothing in the cache) or a missing
     symbol, an undefined one too.  Looked up once per process; the compiler
@@ -307,7 +297,7 @@ def load(stem: str, c_source: str = "") -> Callable | None:
     cc = shutil.which(CC)
     if cc is None:
         return None
-    files, flags, libs, symbol, argtypes, restype = BINDINGS[stem]
+    files, flags, libs, signatures = BINDINGS[stem]
     try:
         head, _, tail = b"".join((SOURCES / f"{name}.c").read_bytes() for name in files).partition(MARKER)
         text = head + c_source.encode() + tail
@@ -325,11 +315,13 @@ def load(stem: str, c_source: str = "") -> Callable | None:
         path = cache / f"{stem}-{key[:16]}.so"
         if not path.exists():
             _compile(cc, [*flags, "-x", "c", "-", *libs], text, path)
-        function = getattr(ctypes.CDLL(str(path)), symbol)
+        library = ctypes.CDLL(str(path))
+        functions = tuple(getattr(library, name) for name in signatures)
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    function.argtypes, function.restype = argtypes, restype
-    return function
+    for function, (argtypes, restype) in zip(functions, signatures.values()):
+        function.argtypes, function.restype = argtypes, restype
+    return functions
 
 
 def _compile(cc: str, args: list[str], text: bytes, path: Path) -> None:
@@ -346,63 +338,51 @@ def _compile(cc: str, args: list[str], text: bytes, path: Path) -> None:
             os.unlink(partial)
 
 
-def _bind_cost_pass(problem: ProblemDefinition) -> Callable | None:
-    """The compiled cost pass of this problem, with python_pass's arguments."""
-    run = load("costpass", problem.c_source)
-    if run is None:
+def _bind_passes(problem: ProblemDefinition) -> tuple[Callable, Callable] | None:
+    """The compiled cost and gradient passes of this problem, with
+    python_pass's and python_grad_pass's arguments and numpy's BLAS routines
+    bound; numpy's BLAS is looked up before anything is built.  Reading an
+    array's address costs about a microsecond, so a pass reads one at most."""
+    routines = _numpy_blas()
+    functions = None if routines is None else load("passes", problem.c_source)
+    if functions is None:
         return None
+    run_cost, run_grad = functions[0], functools.partial(functions[1], *routines)
     n_x, n_u, n_p, n_q, n_c = problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c
     n_given = n_x + n_p + n_q
 
     def compiled_pass(problem, x, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
-        # one buffer, so one address per pass (reading an array's address
-        # costs about a microsecond): x, p, q and z, then the cost, the
-        # states and the mask, as costpass.c lays them out
+        # one buffer: x, p, q and z, then the cost, the states and the mask, as passes.c lays them out
         n_in = n_given + n_contr * n_u
         rows = 4 * n_pred * n_steps + 1
         end = n_in + 1 + rows * n_x
         buf = np.empty(end + (n_pred * n_c + 7) // 8)
         buf[:n_in] = np.concatenate((x, p, q, z))
-        steps = run(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, buf.ctypes.data)
+        steps = run_cost(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, buf.ctypes.data)
         states = buf[n_in + 1 : end].reshape(rows, n_x)
         mask = buf[end:].view(np.int8)[: n_pred * n_c].reshape(n_pred, n_c)
         return buf.item(n_in), steps, states, mask
-
-    return compiled_pass
-
-
-def _bind_grad_pass(problem: ProblemDefinition) -> Callable | None:
-    """The compiled gradient pass of this problem, with python_grad_pass's
-    arguments and numpy's BLAS routines bound; numpy's BLAS is looked up
-    before anything is built."""
-    routines = _numpy_blas()
-    run = None if routines is None else load("gradpass", problem.c_source)
-    if run is None:
-        return None
-    run = functools.partial(run, *routines)
-    n_x, n_u, n_p, n_q, n_c = problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c
 
     def compiled_grad_pass(problem, states, mask, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
         if not (states.shape == (4 * n_pred * n_steps + 1, n_x) and states.dtype == np.float64
                 and mask.shape == (n_pred, n_c) and mask.dtype == np.int8 and z.size == n_contr * n_u):
             raise ValueError("a gradient pass needs the record of a cost pass of the same sizes")
-        # the inputs go as bytes, whose buffers ctypes passes as they are, and the
-        # result comes in a ctypes array: reading an array's address costs
-        # about a microsecond
+        # the inputs go as bytes, whose buffers ctypes passes as they are, and the result in a ctypes array
         out = (ctypes.c_double * ((n_x + 1) * z.size))()
-        run(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, states.tobytes(), mask.tobytes(),
-            np.concatenate((p, q, z)).tobytes(), out)
+        run_grad(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, states.tobytes(),
+                 mask.tobytes(), np.concatenate((p, q, z)).tobytes(), out)
         return np.frombuffer(out).reshape(n_x + 1, z.size)
 
-    return compiled_grad_pass
+    return compiled_pass, compiled_grad_pass
 
 
 def _bind_recurrence() -> Callable | None:
     """The compiled recurrence, with numpy_recurrence's arguments and numpy's
     BLAS routines bound; numpy's BLAS is looked up before anything is built."""
     routines = _numpy_blas()
-    run = None if routines is None else load("sensitivity")
-    return None if run is None else functools.partial(_compiled_recurrence, functools.partial(run, *routines[:3]))
+    functions = None if routines is None else load("sensitivity")
+    return None if functions is None else functools.partial(
+        _compiled_recurrence, functools.partial(functions[0], *routines[:3]))
 
 
 def _numpy_blas() -> list[int] | None:
@@ -441,13 +421,16 @@ def _pass_draws(problem: ProblemDefinition) -> Iterator[tuple]:
         )
 
 
-def _grad_draws(problem: ProblemDefinition) -> Iterator[tuple]:
-    """The self-check's gradient passes: those of _pass_draws that do not
-    diverge, on the record python_pass leaves."""
+def _agree(problem: ProblemDefinition, cost_pass: Callable, grad_pass: Callable) -> Iterator[bool]:
+    """Whether cost_pass gives python_pass's bytes on each of _pass_draws,
+    and, where python_pass is finite, grad_pass gives python_grad_pass's on
+    its record."""
     for problem, x, p, q, z, *rest in _pass_draws(problem):
-        cost, _, states, mask = python_pass(problem, x, p, q, z, *rest)
-        if math.isfinite(cost):
-            yield (problem, states, mask, p, q, z, *rest)
+        want = python_pass(problem, x, p, q, z, *rest)
+        yield _same(want, cost_pass(problem, x, p, q, z, *rest))
+        if math.isfinite(want[0]):
+            args = (problem, want[2], want[3], p, q, z, *rest)
+            yield _same(python_grad_pass(*args), grad_pass(*args))
 
 
 def _recurrence_draws(n_x: int, n_z: int) -> Iterator[tuple]:

@@ -146,18 +146,20 @@ def shift_warm_start(z: Array, n_u: int) -> Array:
     return np.concatenate([z[n_u:], z[-n_u:]])
 
 
-def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, tuple]:
+def _cost_pass(
+    setting: MpcSetting, x: Array, p: Array, q: Array, z: Array, run: Callable | None = None
+) -> tuple[float, int, tuple]:
     """Objective value, the number of RK steps spent, and the pass record.
 
-    Returns inf on divergence.  The pass up to the terminal penalty runs
-    compiled or in Python (compiled.cost_pass_for), with the same bytes; the
-    terminal penalty is one Python call on the final state as a tuple of
-    floats, and a non-finite final state diverges too.  The record is
-    (states, mask) as python_pass describes them; a gradient pass over the
-    same decision vector reuses both.
+    Returns inf on divergence.  The pass up to the terminal penalty is run,
+    else the first of compiled.passes_for's pair: compiled or in Python,
+    with the same bytes.  The terminal penalty is one Python call on the
+    final state as a tuple of floats, and a non-finite final state diverges
+    too.  The record is (states, mask) as python_pass describes them; a
+    gradient pass over the same decision vector reuses both.
     """
     prob, design = setting.problem, setting.design
-    cost, steps, states, mask = compiled.cost_pass_for(prob)(
+    cost, steps, states, mask = (run or compiled.passes_for(prob)[0])(
         prob, x, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
         design.rho_constr,
     )
@@ -174,19 +176,20 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
     return _cost_pass(setting, np.asarray(x, dtype=float), p, q, np.asarray(z, dtype=float))[0]
 
 
-def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple) -> Array:
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple, run: Callable | None = None) -> Array:
     """Exact gradient of the objective via forward sensitivities.
 
     record must come from a finite cost pass at the same state and decision
     vector.  The sum of every term but the terminal one, and the
-    sensitivity S = dx/dz at the end of the horizon, come from one pass,
-    compiled or in Python (compiled.grad_pass_for), with the same bytes;
-    the terminal term rho_f * (terminal_grad @ S) is one Python call, added
-    last, as the last step of python_grad_pass's ordered sum.
+    sensitivity S = dx/dz at the end of the horizon, come from run, else
+    the second of compiled.passes_for's pair: compiled or in Python, with
+    the same bytes.  The terminal term rho_f * (terminal_grad @ S) is one
+    Python call, added last, as the last step of python_grad_pass's ordered
+    sum.
     """
     states, mask = record
     prob, design = setting.problem, setting.design
-    out = compiled.grad_pass_for(prob)(
+    out = (run or compiled.passes_for(prob)[1])(
         prob, states, mask, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
         design.rho_constr,
     )
@@ -224,8 +227,9 @@ def _descend(
     far.
     """
     total_steps = 0
+    cost_pass, grad_pass = compiled.passes_for(setting.problem)  # looked up once per solve, not per pass
 
-    cost, steps, record = _cost_pass(setting, x, p, q, z)
+    cost, steps, record = _cost_pass(setting, x, p, q, z, cost_pass)
     total_steps += steps
     if not math.isfinite(cost):
         return z, math.inf, 0, total_steps, True
@@ -239,7 +243,7 @@ def _descend(
         if over_budget is not None and over_budget(total_steps):
             return best_z, best_cost, iterations, total_steps, False
         # record always describes the trajectory of the current iterate z
-        grad = _grad_pass(setting, p, q, z, record)
+        grad = _grad_pass(setting, p, q, z, record, grad_pass)
         total_steps += setting.design.n_pred * setting.n_steps
         if not np.all(np.isfinite(grad)):
             break
@@ -262,7 +266,7 @@ def _descend(
             d = z_try - z
             if float(np.max(np.abs(d))) == 0.0:
                 break
-            cost_try, steps, try_record = _cost_pass(setting, x, p, q, z_try)
+            cost_try, steps, try_record = _cost_pass(setting, x, p, q, z_try, cost_pass)
             total_steps += steps
             if math.isfinite(cost_try) and cost_try <= cost + ARMIJO_SLOPE * float(grad @ d):
                 accepted = True

@@ -51,18 +51,15 @@ class ProblemDefinition:
     call of each on all the points it needs.  terminal_penalty_grad(x, p, q)
     gets one point, as an array, and returns shape (n_x,).
 
-    c_source, optional, is C text defining the three value callbacks a cost
-    pass calls, with these signatures (arrays of n_x, n_u, n_p, n_q and n_c
-    doubles; <math.h> is included before it):
+    c_source, optional, is C text defining the six callbacks the compiled
+    passes call (compiled.py), each for one point, with these signatures
+    (arrays of n_x, n_u, n_p, n_q and n_c doubles, the Jacobians row-major:
+    A n_x x n_x, B n_x x n_u, Cx n_c x n_x and Cu n_c x n_u; <math.h> is
+    included before it):
 
         void rhs(const double *x, const double *u, const double *p, double *dx);
         double stage_cost(const double *x, const double *u, const double *p, const double *q);
         void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c);
-
-    and, optionally, the three derivative callbacks a gradient pass calls,
-    each for one point, writing row-major arrays: A (n_x x n_x) and B
-    (n_x x n_u); lx (n_x) and lu (n_u); Cx (n_c x n_x) and Cu (n_c x n_u):
-
         void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B);
         void stage_cost_grad(const double *x, const double *u, const double *p, const double *q,
                              double *lx, double *lu);
@@ -73,12 +70,13 @@ class ProblemDefinition:
     operation for operation (Python evaluates a + b * c + d as
     (a + (b * c)) + d; math.sin is libm's sin, and so must np.sin be for a
     derivative that calls it); constraint_map and constraint_jac are still
-    defined, with empty bodies, when n_c is 0.  Given the value callbacks,
-    the cost pass runs in one compiled call (compiled.py), and given the
-    derivatives, with rhs_jac, stage_cost_grad and constraint_jac all set,
-    so does the gradient pass, each once a self-check per process has found
-    the Python pass's bytes on random passes; otherwise, and without a C
-    compiler, the Python callbacks run.  The terminal penalty and its
+    defined, with empty bodies, when n_c is 0.  The six are one contract:
+    given all of them, and rhs_jac, stage_cost_grad and constraint_jac in
+    Python too, the cost pass and the gradient pass run in one compiled
+    call each, once a self-check per process has found the Python passes'
+    bytes on random passes.  A c_source without one of the six, a problem
+    without one of the Python derivative callbacks, or a host without a C
+    compiler runs both passes in Python.  The terminal penalty and its
     gradient stay in Python.
     """
 

@@ -118,7 +118,7 @@ def pvtol_constraints(x: tuple, u: tuple, p: tuple, q: tuple) -> tuple[float, ..
 # (ProblemDefinition.c_source); the weights are written with repr, which
 # round-trips every float, and sin and cos are libm's, which np.sin and
 # np.cos equal on float64 here (a numpy whose sin differs fails the
-# gradient pass's self-check, and the Python callbacks run)
+# passes' self-check, and the Python callbacks run)
 _2Q, _2R, _TRIM = _2Q_DIAG.tolist(), _2R_DIAG.tolist(), U_TRIM.tolist()
 PVTOL_C_SOURCE = f"""
 void rhs(const double *x, const double *u, const double *p, double *dx)

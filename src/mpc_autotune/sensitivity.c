@@ -7,7 +7,7 @@
  * n_x = 1 (daxpy into zeros, or one multiplication when T is 1 x 1).  The
  * elementwise steps follow the numpy expressions in the same order; built
  * with -ffp-contract=off, no multiply and add is fused into one rounding.
- * BLAS integers are 64 bits wide (an ILP64 build).  gradpass.c is compiled
+ * BLAS integers are 64 bits wide (an ILP64 build).  passes.c is compiled
  * after this file and runs its recurrence through sensitivity_step.
  */
 #include <stdint.h>

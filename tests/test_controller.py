@@ -356,7 +356,7 @@ def test_per_period_callbacks_are_called_once_per_gradient_pass():
         return callback
 
     prob = dataclasses.replace(pvtol, **{name: counting(name) for name in calls})
-    assert compiled.grad_pass_for(prob) is compiled.python_grad_pass
+    assert compiled.passes_for(prob)[1] is compiled.python_grad_pass
     design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
     setting = MpcSetting.from_design(prob, design)
     scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
@@ -506,30 +506,34 @@ def counting(counts, key, fn):
 
 
 def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
-    # the compiled counterpart of the test above: once the self-check has
-    # run the Python pass, every cost pass of a solve is one compiled call,
-    # and neither the Python pass nor rhs runs again
+    # the compiled counterpart of the test above: the one self-check runs the
+    # Python cost pass once per draw, and afterwards every cost pass of a
+    # solve is one compiled call; neither the Python pass, rhs nor a Python
+    # derivative callback runs again
     prob, setting = pvtol_setting()
-    real = compiled.load("costpass", prob.c_source)
-    if real is None:
-        pytest.skip("the compiled cost pass cannot be built here")
-    counts = dict.fromkeys(("compiled", "python", "rhs", "cost passes"), 0)
+    functions = compiled.load("passes", prob.c_source)
+    if functions is None:
+        pytest.skip("the compiled passes cannot be built here")
+    callbacks = ("rhs", "rhs_jac", "stage_cost_grad", "constraint_jac")
+    counts = dict.fromkeys(("compiled", "python", "cost passes") + callbacks, 0)
     load = compiled.load
     monkeypatch.setattr(compiled, "load", lambda stem, c_source="": (
-        counting(counts, "compiled", real) if stem == "costpass" else load(stem, c_source)))
+        (counting(counts, "compiled", functions[0]), functions[1]) if stem == "passes" else load(stem, c_source)))
     monkeypatch.setattr(compiled, "_verdicts", {})
     monkeypatch.setattr(compiled, "python_pass", counting(counts, "python", compiled.python_pass))
     monkeypatch.setattr(controller, "_cost_pass", counting(counts, "cost passes", controller._cost_pass))
-    prob.rhs = counting(counts, "rhs", prob.rhs)
-    assert compiled.cost_pass_for(prob) is not compiled.python_pass
-    assert counts["compiled"] == counts["python"] > 0 and counts["rhs"] > 0 and counts["cost passes"] == 0
-    compiled.grad_pass_for(prob)  # whose self-check runs the Python cost pass too
+    for name in callbacks:
+        setattr(prob, name, counting(counts, name, getattr(prob, name)))
+    assert compiled.passes_for(prob)[0] is not compiled.python_pass
+    draws = len(list(compiled._pass_draws(prob)))
+    assert counts["compiled"] == counts["python"] == draws and counts["rhs"] > 0 and counts["cost passes"] == 0
     x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
     passes = []
     for timing in (COST_TIMING, TimingSpec("cost-model", c_eval=1.0e-6, repeats=3), TimingSpec("wallclock", repeats=3)):
         counts.update(dict.fromkeys(counts, 0))
         solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), timing)
-        assert counts["compiled"] == counts["cost passes"] > 0 and counts["python"] == counts["rhs"] == 0
+        assert counts["compiled"] == counts["cost passes"] > 0
+        assert counts["python"] == 0 and all(counts[name] == 0 for name in callbacks)
         passes.append(counts["cost passes"])
     assert passes[1] == passes[0] and passes[2] == 3 * passes[0]
 
@@ -539,15 +543,15 @@ def test_compiled_grad_passes_call_no_python_derivative_after_the_self_check(mon
     # pass of a solve is one compiled call, which calls none of the Python
     # derivative callbacks and leaves the terminal gradient to Python
     prob, setting = pvtol_setting()
-    if compiled._bind_grad_pass(prob) is None:
-        pytest.skip("the compiled gradient pass cannot be built here")
+    if compiled._bind_passes(prob) is None:
+        pytest.skip("the compiled passes cannot be built here")
     names = ("rhs_jac", "stage_cost_grad", "constraint_jac", "terminal_penalty_grad")
     counts = dict.fromkeys(names + ("gradient passes",), 0)
     for name in names:
         setattr(prob, name, counting(counts, name, getattr(prob, name)))
     monkeypatch.setattr(compiled, "_verdicts", {})
     monkeypatch.setattr(controller, "_grad_pass", counting(counts, "gradient passes", controller._grad_pass))
-    assert compiled.grad_pass_for(prob) is not compiled.python_grad_pass
+    assert compiled.passes_for(prob)[1] is not compiled.python_grad_pass
     assert all(counts[name] > 0 for name in ("rhs_jac", "stage_cost_grad", "constraint_jac"))
     counts.update(dict.fromkeys(counts, 0))
     x0 = np.array([0.9, 0.9, 0.3, 0.5, -0.5, 0.5])
@@ -712,7 +716,7 @@ def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
     paths = []
 
     def recording(setting, *args):
-        paths.append(compiled.cost_pass_for(setting.problem))
+        paths.append(compiled.passes_for(setting.problem)[0])
         return _cost_pass(setting, *args)
 
     monkeypatch.setattr(controller, "_cost_pass", recording)
@@ -722,7 +726,7 @@ def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
         c = calibrate_c_eval(prob, n=2000)
         assert 0.0 < c < 1e-3
         assert len(paths) > 10 and len(set(paths)) == 1
-        assert (paths[0] is compiled.python_pass) == (prob is python_pvtol or compiled.load("costpass", prob.c_source) is None)
+        assert (paths[0] is compiled.python_pass) == (prob is python_pvtol or compiled.load("passes", prob.c_source) is None)
 
 
 def test_rhs_gets_tuples_of_floats_everywhere():

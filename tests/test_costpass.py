@@ -20,13 +20,14 @@ TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode=
 # PVTOL's c_source with one constant of rhs_jac changed, and without the derivatives
 CHANGED_DERIVATIVE = PVTOL.c_source.replace("= p[1];", "= p[1] * 1.0000000000000002;")
 VALUES_ONLY = PVTOL.c_source[: PVTOL.c_source.index("void rhs_jac")]
+PYTHON_PASSES = (compiled.python_pass, compiled.python_grad_pass)
 
 
 def compiled_pass(prob):
-    fast = compiled._bind_cost_pass(prob)
-    if fast is None:
-        pytest.skip("the compiled cost pass cannot be built here")
-    return fast
+    passes = compiled._bind_passes(prob)
+    if passes is None:
+        pytest.skip("the compiled passes cannot be built here")
+    return passes[0]
 
 
 def random_passes(prob, rng, draws, x_scale=1.0):
@@ -80,7 +81,7 @@ def test_compiled_pass_equals_the_python_pass_without_constraints():
         want = compiled.python_pass(*args)
         assert want[3].shape == (args[5], 0)
         assert_same(want, fast(*args))
-    assert compiled.cost_pass_for(prob) is not compiled.python_pass
+    assert compiled.passes_for(prob)[0] is not compiled.python_pass
 
 
 def test_an_overflowing_pass_diverges_with_the_same_steps():
@@ -131,25 +132,23 @@ def test_a_self_check_draw_that_diverges_by_a_math_domain_error_keeps_the_compil
     draws = compiled._pass_draws
     monkeypatch.setattr(compiled, "_pass_draws", lambda problem: [diverging, *draws(problem)])
     monkeypatch.setattr(compiled, "_verdicts", {})
-    assert compiled.cost_pass_for(PVTOL) is not compiled.python_pass
+    assert compiled.passes_for(PVTOL) != PYTHON_PASSES
 
 
 def test_a_changed_constant_fails_the_self_check(fresh_build):
     altered = dataclasses.replace(PVTOL, c_source=PVTOL.c_source.replace("- 1.0;", "- 1.0000000000000002;"))
     assert altered.c_source != PVTOL.c_source
-    if compiled.load("costpass", altered.c_source) is None:
-        pytest.skip("the compiled cost pass cannot be built here")
-    assert compiled.cost_pass_for(altered) is compiled.python_pass
-    assert compiled.cost_pass_for(PVTOL) is not compiled.python_pass
+    if compiled.load("passes", altered.c_source) is None:
+        pytest.skip("the compiled passes cannot be built here")
+    assert compiled.passes_for(altered) == PYTHON_PASSES
+    assert compiled.passes_for(PVTOL) != PYTHON_PASSES
     # the key holds the callbacks: a replaced rhs is checked anew, and fails
-    assert compiled.cost_pass_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
-        is compiled.python_pass
-    # a changed constant in a derivative fails only the gradient pass's self-check
+    assert compiled.passes_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
+        == PYTHON_PASSES
+    # a changed constant in a derivative fails the one self-check too: both passes run in Python
     altered = dataclasses.replace(PVTOL, c_source=CHANGED_DERIVATIVE)
-    assert compiled._bind_grad_pass(altered) is not None
-    assert compiled.grad_pass_for(altered) is compiled.python_grad_pass
-    assert compiled.cost_pass_for(altered) is not compiled.python_pass
-    assert compiled.grad_pass_for(PVTOL) is not compiled.python_grad_pass
+    assert compiled._bind_passes(altered) is not None
+    assert compiled.passes_for(altered) == PYTHON_PASSES
 
 
 def tiny_artifacts(out: Path, **changes) -> list[bytes]:
@@ -159,55 +158,50 @@ def tiny_artifacts(out: Path, **changes) -> list[bytes]:
     return [(out / name).read_bytes() for name in ("settings.csv", "trace.json")]
 
 
-def ran_compiled(stem: str = "costpass") -> bool:
-    """Whether the run's cost or gradient pass (one verdict; none for a
-    gradient pass decided without a self-check), or its recurrence (one
-    verdict per size, all alike), ran compiled."""
+def ran_compiled(stem: str = "passes") -> bool:
+    """Whether the run's passes (one verdict for both; none where they were
+    decided without a self-check), or its recurrence (one verdict per size,
+    all alike), ran compiled."""
     runs = {found for key, found in compiled._verdicts.items() if key[0] == stem}
     if stem == "sensitivity":
         assert runs and (compiled.numpy_recurrence not in runs or runs == {compiled.numpy_recurrence})
         return compiled.numpy_recurrence not in runs
-    if stem == "gradpass" and not runs:
-        return False
-    (pass_,) = runs
-    return pass_ not in (compiled.python_pass, compiled.python_grad_pass)
-
+    assert len(runs) <= 1
+    return bool(runs) and runs != {PYTHON_PASSES}
 
 
 def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypatch):
     cc = compiled.CC
+    cache = tmp_path / "cache"
     want = tiny_artifacts(tmp_path / "compiled")
-    assert ran_compiled() and ran_compiled("gradpass")
-    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()]
+    assert ran_compiled() and ran_compiled("sensitivity")
+    assert fresh_build("passes") == fresh_build() == [os.getpid()]
+    assert sorted(path.name.split("-")[0] for path in cache.iterdir()) == ["passes", "sensitivity"]
 
     def fresh():
         monkeypatch.setattr(compiled, "_verdicts", {})
         compiled.load.cache_clear()
 
-    # a c_source with one constant changed: built, but the self-check fails
-    fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", pvtol.PVTOL_C_SOURCE.replace("- 1.0;", "- 1.0000000000000002;"))
-    assert tiny_artifacts(tmp_path / "mismatch") == want and not ran_compiled()
-    # the same for a derivative: the cost pass still runs compiled
-    fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", CHANGED_DERIVATIVE)
-    assert tiny_artifacts(tmp_path / "derivative-mismatch") == want
-    assert ran_compiled() and not ran_compiled("gradpass")
-    # a c_source without the derivatives: its gradient library does not load
-    fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", VALUES_ONLY)
-    assert tiny_artifacts(tmp_path / "values-only") == want and ran_compiled() and not ran_compiled("gradpass")
-    # a c_source that does not compile: nothing is left in the cache
-    fresh()
-    monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source + "\nnot C at all\n")
-    cached = sorted((tmp_path / "cache").iterdir())
-    assert tiny_artifacts(tmp_path / "failed-build") == want and not ran_compiled() and not ran_compiled("gradpass")
-    assert sorted((tmp_path / "cache").iterdir()) == cached
-    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
+    # a c_source with one constant changed, of a value callback or of a
+    # derivative: built, but the self-check fails, and both passes run in Python
+    for label, c_source in (("mismatch", pvtol.PVTOL_C_SOURCE.replace("- 1.0;", "- 1.0000000000000002;")),
+                            ("derivative-mismatch", CHANGED_DERIVATIVE)):
+        fresh()
+        monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", c_source)
+        assert tiny_artifacts(tmp_path / label) == want and not ran_compiled() and ran_compiled("sensitivity")
+    # a c_source without the derivatives, or one that does not compile: the
+    # build fails and leaves nothing in the cache
+    cached = sorted(cache.iterdir())
+    for label, c_source in (("values-only", VALUES_ONLY), ("failed-build", PVTOL.c_source + "\nnot C at all\n")):
+        fresh()
+        monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", c_source)
+        assert tiny_artifacts(tmp_path / label) == want and not ran_compiled()
+        assert sorted(cache.iterdir()) == cached
+    assert fresh_build("passes") == [os.getpid()] * 5
     monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
-    # any C file missing, as from an install without the package data: the passes it is part of fall back
+    # any C file missing, as from an install without the package data: the libraries it is part of fall back
     sources = compiled.SOURCES
-    c_files = {"costpass.c", "sensitivity.c", "gradpass.c"}
+    c_files = {"sensitivity.c", "passes.c"}
     for missing in sorted(c_files):
         fresh()
         kept = tmp_path / f"without-{missing}"
@@ -215,18 +209,21 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
         for name in c_files - {missing}:
             shutil.copy(sources / name, kept)
         monkeypatch.setattr(compiled, "SOURCES", kept)
-        assert tiny_artifacts(tmp_path / f"no-{missing}") == want
-        assert ran_compiled() == (missing != "costpass.c")
+        assert tiny_artifacts(tmp_path / f"no-{missing}") == want and not ran_compiled()  # passes.c follows sensitivity.c
         assert ran_compiled("sensitivity") == (missing != "sensitivity.c")
-        assert ran_compiled("gradpass") == (missing == "costpass.c")  # gradpass.c is built after sensitivity.c
     monkeypatch.setattr(compiled, "SOURCES", sources)
-    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
-    assert fresh_build() == [os.getpid()]
+    # a BLAS routine missing from numpy's BLAS, as with MKL or a system BLAS: nothing is built
+    fresh()
+    blas = compiled.BLAS_SYMBOLS
+    monkeypatch.setattr(compiled, "BLAS_SYMBOLS", blas[:3] + ("no_such_cblas_ddot",))
+    assert tiny_artifacts(tmp_path / "no-blas-symbol") == want and not ran_compiled() and not ran_compiled("sensitivity")
+    monkeypatch.setattr(compiled, "BLAS_SYMBOLS", blas)
+    assert fresh_build("passes") == [os.getpid()] * 5 and fresh_build() == [os.getpid()]
     # no compiler
     fresh()
     monkeypatch.setattr(compiled, "CC", "no-such-compiler")
-    assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled() and not ran_compiled("gradpass")
-    # a Python derivative left to finite differences: the gradient pass runs in
+    assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled() and not ran_compiled("sensitivity")
+    # a Python derivative left to finite differences: both passes run in
     # Python without a self-check, as without a compiler
     monkeypatch.setattr(pvtol, "pvtol_constraint_jac", None)
     fresh()
@@ -234,8 +231,8 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
     monkeypatch.setattr(compiled, "CC", cc)
     fresh()
     assert tiny_artifacts(tmp_path / "differences") == by_differences
-    assert ran_compiled() and not ran_compiled("gradpass")
-    assert fresh_build("costpass") == fresh_build("gradpass") == [os.getpid()] * 5
+    assert not [key for key in compiled._verdicts if key[0] == "passes"] and ran_compiled("sensitivity")
+    assert fresh_build("passes") == [os.getpid()] * 5
 
 
 def test_every_c_file_is_package_data():
@@ -251,35 +248,14 @@ def test_every_c_file_is_package_data():
     assert {f"{stem}.c" for stem in compiled.BINDINGS} <= c_files <= set(listed)
 
 
-def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
-    passes = tmp_path / "passes"
-    real = compiled._bind_cost_pass
-
-    def logged(*args):
-        fast = real(*args)
-
-        def logging_pass(*pass_args):
-            with open(passes, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return fast(*pass_args)
-        return logging_pass
-
-    monkeypatch.setattr(compiled, "_bind_cost_pass", logged)
-    run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
-    assert fresh_build("costpass") == [os.getpid()]
-    assert ran_compiled()  # the parent self-checked; the workers ran the passes
-    assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
-
-
 def apply_fallback(case, tmp_path, monkeypatch):
-    """Leave PVTOL's gradient passes to Python, one way or another."""
+    """Leave PVTOL's passes to Python, one way or another."""
     if case == "no-compiler":
         monkeypatch.setattr(compiled, "CC", "no-such-compiler")
-    elif case == "no-gradpass.c":  # as from an install without the package data
+    elif case == "no-passes.c":  # as from an install without the package data
         kept = tmp_path / "sources"
         kept.mkdir()
-        for name in ("costpass.c", "sensitivity.c"):
-            shutil.copy(compiled.SOURCES / name, kept)
+        shutil.copy(compiled.SOURCES / "sensitivity.c", kept)
         monkeypatch.setattr(compiled, "SOURCES", kept)
     elif case == "values-only-c-source":
         monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", VALUES_ONLY)
@@ -289,22 +265,31 @@ def apply_fallback(case, tmp_path, monkeypatch):
         monkeypatch.setattr(pvtol, "pvtol_constraint_jac", None)
 
 
-@pytest.mark.parametrize("case", ["compiled", "no-compiler", "no-gradpass.c", "values-only-c-source",
+@pytest.mark.parametrize("case", ["compiled", "no-compiler", "no-passes.c", "values-only-c-source",
                                   "changed-derivative-constant", "finite-difference-constraint-jac"])
 def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, fresh_build, monkeypatch):
-    """The parent builds and self-checks the gradient pass, compiled or not,
-    and the workers run the gradient passes without compiling anything;
-    the pooled run's artifacts are those of a run in one process."""
+    """The parent builds and self-checks the cost and gradient passes,
+    compiled or not, and the workers run them, the compiled ones where they
+    passed, without compiling anything; the pooled run's artifacts are
+    those of a run in one process."""
     apply_fallback(case, tmp_path, monkeypatch)
-    passes = tmp_path / "passes"
+    log = tmp_path / "passes"
 
-    def logged(*args):
-        with open(passes, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return real(*args)
+    def logged(name, real):
+        def logging_pass(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {name}\n")
+            return real(*args)
+        return logging_pass
 
-    real = controller._grad_pass
-    monkeypatch.setattr(controller, "_grad_pass", logged)
+    def logged_bind(problem):
+        passes = bind(problem)
+        return passes and (logged("compiled-cost", passes[0]), logged("compiled-gradient", passes[1]))
+
+    bind = compiled._bind_passes
+    monkeypatch.setattr(compiled, "_bind_passes", logged_bind)
+    monkeypatch.setattr(controller, "_cost_pass", logged("cost", controller._cost_pass))
+    monkeypatch.setattr(controller, "_grad_pass", logged("gradient", controller._grad_pass))
     artifacts = []
     for jobs in (2, 1):
         out = tmp_path / f"jobs-{jobs}"
@@ -313,17 +298,20 @@ def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, 
             run(RunConfig(**TINY, jobs=jobs, out_dir=str(out)))
         artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
         if jobs == 2:
-            assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}  # the workers ran the passes
-            for stem in ("costpass", "sensitivity", "gradpass"):
+            in_workers = {name for pid, name in map(str.split, log.read_text().splitlines()) if int(pid) != os.getpid()}
+            assert in_workers == {"cost", "gradient"} | ({"compiled-cost", "compiled-gradient"} if case == "compiled"
+                                                         else set())
+            for stem in ("passes", "sensitivity"):
                 assert set(fresh_build(stem)) <= {os.getpid()}
-            verdicts = [found for key, found in compiled._verdicts.items() if key[0] == "gradpass"]
+            verdicts = [found for key, found in compiled._verdicts.items() if key[0] == "passes"]
             assert len(verdicts) == (case != "finite-difference-constraint-jac")
-            assert (verdicts != [] and verdicts[0] is not compiled.python_grad_pass) == (case == "compiled")
+            assert (verdicts != [] and verdicts[0] != PYTHON_PASSES) == (case == "compiled")
         monkeypatch.setattr(compiled, "_verdicts", {})
         compiled.load.cache_clear()
     assert artifacts[0] == artifacts[1]
-    assert fresh_build("gradpass") == ([] if case in ("no-compiler", "no-gradpass.c", "finite-difference-constraint-jac")
-                                       else [os.getpid()])
+    # a library is built once; a build that fails leaves nothing to load, so the next run tries again
+    builds = {"compiled": 1, "changed-derivative-constant": 1, "values-only-c-source": 2}.get(case, 0)
+    assert fresh_build("passes") == [os.getpid()] * builds
 
 
 NO_LAZY_NUMPY_MA = """

@@ -21,17 +21,17 @@ GENTLE_BOUNDS = DesignBounds(kappa=(2, 10), mu_d=(0.0, 1.0), n_pred=(8, 20), n_c
 
 
 def compiled_grad_pass(prob):
-    fast = compiled._bind_grad_pass(prob)
-    if fast is None:
-        pytest.skip("the compiled gradient pass cannot be built here")
-    return fast
+    passes = compiled._bind_passes(prob)
+    if passes is None:
+        pytest.skip("the compiled passes cannot be built here")
+    return passes[1]
 
 
 def capture(problem, bounds, seed, keep=5, limit=400):
     """The arguments of every keep-th gradient pass of a three-candidate
     tuning run on one batch of three scenarios, up to limit of them, as the
     desk (default bounds) and gentle (GENTLE and its bounds) workloads make
-    them; the run's own passes run on the Python pass."""
+    them; the run's own gradient passes run on the Python pass."""
     passes = []
 
     def recording(*args):
@@ -39,8 +39,9 @@ def capture(problem, bounds, seed, keep=5, limit=400):
             passes.append(args)
         return compiled.python_grad_pass(*args)
 
+    passes_for = compiled.passes_for
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(compiled, "grad_pass_for", lambda problem: recording)
+        m.setattr(compiled, "passes_for", lambda problem: (passes_for(problem)[0], recording))
         rng = np.random.default_rng(seed)
         scenarios = generate_cloud(problem, 3, seed, duration=0.5)
         tune(problem, [sample_shaping(rng) for _ in range(3)], make_batches(scenarios, 1, 3), bounds,
@@ -110,15 +111,17 @@ def test_compiled_grad_pass_equals_the_python_pass_on_one_input_or_one_state(mak
         seen["active"] += bool(args[2].any())
     assert seen["one column"] > 10 and seen["several columns"] > 100, seen
     assert (seen["active"] > 10) == (prob.n_c > 0), seen
-    assert compiled.grad_pass_for(prob) is not compiled.python_grad_pass
+    assert compiled.passes_for(prob)[1] is not compiled.python_grad_pass
 
 
 def test_the_grad_pass_needs_every_python_derivative(monkeypatch):
+    # and so does the cost pass: both run in Python, decided without a self-check
     monkeypatch.setattr(compiled, "_verdicts", {})
+    reference = (compiled.python_pass, compiled.python_grad_pass)
     for name in ("rhs_jac", "stage_cost_grad", "constraint_jac"):
-        assert compiled.grad_pass_for(dataclasses.replace(PVTOL, **{name: None})) is compiled.python_grad_pass
-    assert compiled.grad_pass_for(dataclasses.replace(PVTOL, c_source=None)) is compiled.python_grad_pass
-    assert compiled._verdicts == {}  # decided without a self-check
+        assert compiled.passes_for(dataclasses.replace(PVTOL, **{name: None})) == reference
+    assert compiled.passes_for(dataclasses.replace(PVTOL, c_source=None)) == reference
+    assert compiled._verdicts == {}
 
 
 OTHER_KERNEL_CHECK = """
@@ -130,7 +133,7 @@ from mpc_autotune import compiled, pvtol_problem
 corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
 corename.argtypes, corename.restype = [], ctypes.c_char_p
 problem = pvtol_problem()
-fast = compiled._bind_grad_pass(problem)
+fast = compiled._bind_passes(problem)[1]
 rng = np.random.default_rng(2)
 same = []
 for n_contr in (1, 2, 5):
@@ -140,7 +143,7 @@ for n_contr in (1, 2, 5):
     cost, _, states, mask = compiled.python_pass(*args)
     grad_args = (problem, states, mask, *args[2:])
     same.append(math.isfinite(cost) and fast(*grad_args).tobytes() == compiled.python_grad_pass(*grad_args).tobytes())
-same.append(compiled.grad_pass_for(problem) is not compiled.python_grad_pass)
+same.append(compiled.passes_for(problem)[1] is not compiled.python_grad_pass)
 print(json.dumps({"core": corename().decode(), "same": same}))
 """
 
