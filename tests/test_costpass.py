@@ -248,6 +248,29 @@ def test_every_c_file_is_package_data():
     assert {f"{stem}.c" for stem in compiled.BINDINGS} <= c_files <= set(listed)
 
 
+def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
+    passes = tmp_path / "passes"
+    real = compiled._bind_passes
+
+    def logged(problem):
+        found = real(problem)
+        if found is None:
+            return None
+        fast = found[0]
+
+        def logging_pass(*pass_args):
+            with open(passes, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fast(*pass_args)
+        return (logging_pass, *found[1:])
+
+    monkeypatch.setattr(compiled, "_bind_passes", logged)
+    run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
+    assert fresh_build("passes") == [os.getpid()]
+    assert ran_compiled()  # the parent self-checked; the workers ran the passes
+    assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
+
+
 def apply_fallback(case, tmp_path, monkeypatch):
     """Leave PVTOL's passes to Python, one way or another."""
     if case == "no-compiler":
