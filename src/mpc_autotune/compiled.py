@@ -1,22 +1,22 @@
-"""The compiled passes: the cost pass, the gradient pass and the
-sensitivity recurrence.
+"""The compiled solve and the compiled sensitivity recurrence.
 
-Each runs in one call to a C function, with the bytes of its reference
-here, which stays the fallback.  Two libraries hold them: passes
-(sensitivity.c, then passes.c with the problem's c_source in place of its
-marker line) the cost and gradient passes of a problem that gives its six
-callbacks in C, whose references are python_pass and python_grad_pass (up
-to the terminal penalty and term, through the Python callbacks); and
-sensitivity (sensitivity.c) the recurrence of the Python gradient pass,
-whose reference is numpy_recurrence.  The products of the C recurrence and
-gradient pass call the CBLAS routines numpy's .dot and matmul call.
+Each runs in one call to a C function, with the bytes of its reference,
+which stays the fallback.  Two libraries hold them: passes (sensitivity.c,
+then passes.c with the problem's c_source in place of its marker line) the
+whole descent of a problem that gives its eight callbacks in C, whose
+reference is controller._descend; and sensitivity (sensitivity.c) the
+recurrence of the Python gradient pass, whose reference is
+numpy_recurrence.  The products of both call the CBLAS routines numpy's
+.dot, matmul and np.dot call.  The Python solve runs on python_pass and
+python_grad_pass, the latter on the compiled recurrence where it runs.
 
 Both share one lifecycle.  load compiles a library with cc into CACHE, a
 directory only its owner may write, under a name keyed by the text, the
-flags and the compiler's file, and binds its C functions once per process.
-A self-check compares them byte for byte with their reference on random
-draws, once per process for each key, and _verdicts keeps what runs: both
-passes compiled or both in Python.  The reference runs on any failure: no
+flags and the compiler's file, records a failed build there, and binds
+its C functions once per process.  A self-check compares them byte for
+byte with their reference on random draws, once per process for each key,
+and _verdicts keeps what runs: the compiled solve or None, the compiled
+recurrence or numpy_recurrence.  The reference runs on any failure: no
 compiler, no C file, a failed build (a c_source missing a callback fails
 to link), a missing symbol (numpy's BLAS routines too, as with MKL or a
 system BLAS) or a mismatch.  warm_up does all of it ahead of a run.
@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .design import DesignVector
 from .integration import floats, overflowed, rk4_kernel
 from .problems import ProblemDefinition
 
@@ -51,12 +52,11 @@ BINDINGS = {  # stem: (C files, flags, libraries, {C function: (its argument typ
     "sensitivity": (("sensitivity",), ("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), {
         "sensitivity_pass": ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4,
                              None)}),
-    # -z defs fails the link of a c_source that leaves one of the six callbacks undefined
+    # -z defs fails the link of a c_source that leaves one of the eight callbacks undefined
     "passes": (("sensitivity", "passes"), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC",
                                           "-Wl,-z,defs"), ("-lm",), {
-        "cost_pass": ([ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p], ctypes.c_int64),
-        "grad_pass": ([ctypes.c_void_p] * 4 + [ctypes.c_int64] * 8 + [ctypes.c_double] * 3 + [ctypes.c_void_p] * 4,
-                      None)}),
+        "solve": ([ctypes.c_void_p] * 4 + [ctypes.c_double] * 3 + [ctypes.c_int64] * 11 + [ctypes.c_double] * 6
+                  + [ctypes.c_void_p] * 2, None)}),
 }
 # gemm, gemv, axpy and dot, as numpy's bundled scipy-openblas (64-bit integers) exports them
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_", "scipy_cblas_ddot64_")
@@ -216,20 +216,21 @@ def python_grad_pass(
     return np.concatenate((np.cumsum(flat_terms, axis=0)[-1:], S_at[n_pred]))
 
 
-def passes_for(problem: ProblemDefinition) -> tuple[Callable, Callable]:
-    """The cost pass and the gradient pass that run this problem's passes,
-    with python_pass's and python_grad_pass's arguments: both compiled once
-    their self-check agreed, else both in Python; decided once per process
-    for each c_source, six callbacks and sizes.  A problem without a
-    c_source, or without one of the three Python derivative callbacks
-    (finite differences), runs in Python without a self-check."""
-    if problem.c_source is None or None in (problem.rhs_jac, problem.stage_cost_grad, problem.constraint_jac):
-        return python_pass, python_grad_pass
-    key = ("passes", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map, problem.rhs_jac,
-           problem.stage_cost_grad, problem.constraint_jac, problem.n_x, problem.n_u, problem.n_p, problem.n_q,
-           problem.n_c)
-    return _verdicts.get(key) or _settle(
-        key, (python_pass, python_grad_pass), _bind_passes(problem), lambda passes: _agree(problem, *passes))
+def solve_for(problem: ProblemDefinition) -> Callable | None:
+    """The compiled solve of this problem, with controller._descend's
+    arguments and results, once its self-check agreed, else None, and the
+    problem runs _descend in Python; decided once per process for each
+    c_source, eight callbacks and sizes.  A problem without a c_source, or
+    without one of the four Python derivative callbacks (finite
+    differences), runs in Python without a self-check."""
+    if problem.c_source is None or None in (
+        problem.rhs_jac, problem.stage_cost_grad, problem.terminal_penalty_grad, problem.constraint_jac
+    ):
+        return None
+    key = ("passes", problem.c_source, problem.rhs, problem.stage_cost, problem.constraint_map,
+           problem.terminal_penalty_base, problem.rhs_jac, problem.stage_cost_grad, problem.terminal_penalty_grad,
+           problem.constraint_jac, problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
+    return _verdict(key, None, lambda: _bind_solve(problem), lambda run: _agree(problem, run))
 
 
 def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -> Array:
@@ -245,45 +246,44 @@ def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -
 
 
 def warm_up(problem: ProblemDefinition, n_zs: Sequence[int]) -> None:
-    """Build, load and self-check the recurrence for each n_z and the
-    passes for this problem, and build the RK4 kernel for its state.  tune
-    calls it before any solve is timed and before it forks its workers, so
-    that they inherit it all and never compile."""
+    """Build, load and self-check the recurrence for each n_z and the solve
+    for this problem, and build the RK4 kernel for its state.  tune calls it
+    before any solve is timed and before it forks its workers, so that they
+    inherit it all and never compile."""
     for n_z in n_zs:
         _recurrence_for(problem.n_x, n_z)
-    passes_for(problem)
+    solve_for(problem)
     rk4_kernel(problem.n_x)
 
 
 def _recurrence_for(n_x: int, n_z: int) -> Callable:
-    key = ("sensitivity", n_x, n_z)
-    return _verdicts.get(key) or _settle(key, numpy_recurrence, _bind_recurrence(), lambda run: (
+    return _verdict(("sensitivity", n_x, n_z), numpy_recurrence, _bind_recurrence, lambda run: (
         _same(numpy_recurrence(*args), run(*args)) for args in _recurrence_draws(n_x, n_z)))
 
 
-_verdicts: dict[tuple, Callable | tuple] = {}  # key -> the recurrence, or the pair of passes, that runs
+_verdicts: dict[tuple, Callable | None] = {}  # key -> the recurrence, or the solve, that runs
 
 
-def _settle(key: tuple, reference, compiled, agree: Callable[[object], Iterator[bool]]):
-    """Keep, for key, what is compiled if it gives the reference's bytes on
-    every draw agree checks, and there is one, else the reference."""
-    with np.errstate(all="ignore"):
-        checks = iter(()) if compiled is None else agree(compiled)
-        same = next(checks, False) and all(checks)
-    found = _verdicts[key] = compiled if same else reference
-    return found
+def _verdict(key: tuple, reference, bind: Callable, agree: Callable[[object], Iterator[bool]]):
+    """What runs for key, decided at its first lookup: what bind compiles,
+    if it gives the reference's bytes on every draw agree checks, and there
+    is one, else the reference."""
+    if key not in _verdicts:
+        with np.errstate(all="ignore"):
+            compiled = bind()
+            checks = iter(()) if compiled is None else agree(compiled)
+            same = next(checks, False) and all(checks)
+        _verdicts[key] = compiled if same else reference
+    return _verdicts[key]
 
 
 def _same(want, got) -> bool:
-    """Whether got has want's bytes: all of a recurrence's or a gradient
-    pass's; a cost pass's cost, steps, the states want reached, and, unless
-    it diverged, mask (a diverged record is never read)."""
+    """Whether got has want's bytes: all of a recurrence's, or each of a
+    solve's results, the hex of a float for its cost."""
     if isinstance(want, np.ndarray):
         return got.tobytes() == want.tobytes()
-    cost, steps, states, mask = want
-    return (float(cost).hex() == float(got[0]).hex() and steps == got[1]
-            and states.tobytes() == got[2][: len(states)].tobytes()
-            and (not math.isfinite(cost) or mask.tobytes() == got[3].tobytes()))
+    z, cost, *counts = want
+    return z.tobytes() == got[0].tobytes() and float(cost).hex() == float(got[1]).hex() and counts == [*got[2:]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,9 +291,10 @@ def load(stem: str, c_source: str = "") -> tuple[Callable, ...] | None:
     """The typed C functions of stem's C files, compiled one after the other
     with c_source in place of the marker line, or None where they cannot be
     had: no compiler, no C file, a cache directory another user could
-    write, a failed build (which leaves nothing in the cache) or a missing
-    symbol, an undefined one too.  Looked up once per process; the compiler
-    runs only when the cache does not hold the library yet."""
+    write, a failed build or a missing symbol, an undefined one too.  Looked
+    up once per process; the compiler runs only when the cache holds
+    neither the library nor the record of its failed build, an empty file
+    named for the library with .failed for .so."""
     cc = shutil.which(CC)
     if cc is None:
         return None
@@ -313,8 +314,15 @@ def load(stem: str, c_source: str = "") -> tuple[Callable, ...] | None:
         if status.st_uid != os.getuid() or status.st_mode & 0o077:
             return None  # another user could put a library there
         path = cache / f"{stem}-{key[:16]}.so"
+        failed = path.with_suffix(".failed")
+        if failed.exists():
+            return None
         if not path.exists():
-            _compile(cc, [*flags, "-x", "c", "-", *libs], text, path)
+            try:
+                _compile(cc, [*flags, "-x", "c", "-", *libs], text, path)
+            except subprocess.CalledProcessError:
+                failed.touch()
+                raise
         library = ctypes.CDLL(str(path))
         functions = tuple(getattr(library, name) for name in signatures)
     except (OSError, AttributeError, subprocess.SubprocessError):
@@ -338,42 +346,38 @@ def _compile(cc: str, args: list[str], text: bytes, path: Path) -> None:
             os.unlink(partial)
 
 
-def _bind_passes(problem: ProblemDefinition) -> tuple[Callable, Callable] | None:
-    """The compiled cost and gradient passes of this problem, with
-    python_pass's and python_grad_pass's arguments and numpy's BLAS routines
-    bound; numpy's BLAS is looked up before anything is built.  Reading an
-    array's address costs about a microsecond, so a pass reads one at most."""
+def _bind_solve(problem: ProblemDefinition) -> Callable | None:
+    """The compiled solve of this problem, with controller._descend's
+    arguments and results, and with numpy's BLAS routines and the descent's
+    constants bound; numpy's BLAS is looked up before anything is built."""
+    from . import controller  # which imports this module
+
     routines = _numpy_blas()
     functions = None if routines is None else load("passes", problem.c_source)
     if functions is None:
         return None
-    run_cost, run_grad = functions[0], functools.partial(functions[1], *routines)
-    n_x, n_u, n_p, n_q, n_c = problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c
-    n_given = n_x + n_p + n_q
+    run = functools.partial(functions[0], *routines, controller.ARMIJO_SLOPE, controller.G_TOL,
+                            controller.BACKTRACK_SHRINK, controller.MAX_BACKTRACKS, controller.WORK_PER_RK_STEP,
+                            problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
 
-    def compiled_pass(problem, x, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
-        # one buffer: x, p, q and z, then the cost, the states and the mask, as passes.c lays them out
-        n_in = n_given + n_contr * n_u
-        rows = 4 * n_pred * n_steps + 1
-        end = n_in + 1 + rows * n_x
-        buf = np.empty(end + (n_pred * n_c + 7) // 8)
-        buf[:n_in] = np.concatenate((x, p, q, z))
-        steps = run_cost(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, buf.ctypes.data)
-        states = buf[n_in + 1 : end].reshape(rows, n_x)
-        mask = buf[end:].view(np.int8)[: n_pred * n_c].reshape(n_pred, n_c)
-        return buf.item(n_in), steps, states, mask
+    def compiled_solve(setting, x, p, q, z, z_lo, z_hi, c_eval, budget):
+        design, n_z = setting.design, z.size
+        if (x.size, p.size, q.size, n_z, z_lo.size, z_hi.size) != (
+            problem.n_x, problem.n_p, problem.n_q, design.n_contr * problem.n_u, n_z, n_z
+        ):
+            raise ValueError("a solve needs x, p, q, z and its box of the problem's and the design's sizes")
+        # one buffer: x, p, q, z and the box, then z_opt and the cost, as passes.c lays them out
+        buf = np.concatenate((x, p, q, z, z_lo, z_hi, z, z[:1]), dtype=np.float64)
+        counts = (ctypes.c_int64 * 3)()
+        run(design.n_pred, design.n_contr, setting.n_steps, design.max_iter, setting.tau_p, setting.tau_u,
+            design.rho_constr, design.rho_f, c_eval or 0.0, math.nan if budget is None else budget, buf.ctypes.data,
+            counts)
+        iterations, steps, diverged = counts
+        if steps < 0:
+            raise MemoryError("no memory for the states of a compiled solve")
+        return buf[-n_z - 1 : -1], buf.item(-1), iterations, steps, bool(diverged)
 
-    def compiled_grad_pass(problem, states, mask, p, q, z, n_pred, n_contr, n_steps, h, tau_u, rho_constr):
-        if not (states.shape == (4 * n_pred * n_steps + 1, n_x) and states.dtype == np.float64
-                and mask.shape == (n_pred, n_c) and mask.dtype == np.int8 and z.size == n_contr * n_u):
-            raise ValueError("a gradient pass needs the record of a cost pass of the same sizes")
-        # the inputs go as bytes, whose buffers ctypes passes as they are, and the result in a ctypes array
-        out = (ctypes.c_double * ((n_x + 1) * z.size))()
-        run_grad(n_x, n_u, n_p, n_q, n_c, n_pred, n_contr, n_steps, h, tau_u, rho_constr, states.tobytes(),
-                 mask.tobytes(), np.concatenate((p, q, z)).tobytes(), out)
-        return np.frombuffer(out).reshape(n_x + 1, z.size)
-
-    return compiled_pass, compiled_grad_pass
+    return compiled_solve
 
 
 def _bind_recurrence() -> Callable | None:
@@ -404,33 +408,47 @@ def _compiled_recurrence(run: Callable, A_all: Array, B_all: Array, n_pred: int,
     return S_at
 
 
-def _pass_draws(problem: ProblemDefinition) -> Iterator[tuple]:
-    """The self-check's cost passes: random ones from the problem's boxes,
-    with tail periods, several steps per period and penalty weights over six
-    decades."""
-    rng = np.random.default_rng(2024)
-    for n_pred, n_contr, n_steps in ((1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 3, 1), (5, 2, 4), (6, 6, 2)):
-        tau_u = float(problem.tau * rng.integers(1, 11))
-        yield (
-            problem,
-            rng.uniform(problem.x_min, problem.x_max),
-            problem.p_nom + problem.p_std * rng.standard_normal(problem.n_p),
-            rng.uniform(problem.q_min, problem.q_max),
-            rng.uniform(np.tile(problem.u_min, n_contr), np.tile(problem.u_max, n_contr)),
-            n_pred, n_contr, n_steps, tau_u / n_steps, tau_u, float(10.0 ** rng.uniform(0.0, 6.0)),
-        )
+# the self-check's solves: (n_pred, n_contr, n_steps, max_iter, the budget in
+# horizons of work or None, whether from the default warm start).  PVTOL's hit
+# the cap, stop at G_TOL, reject backtracks and are cut by the budget; long
+# steps from the warm start make a one-ulp change of a constant show in the
+# results, which only carry the states through the cost and the gradient
+SOLVE_DRAWS = ((1, 1, 1, 3, None, False), (1, 1, 2, 40, None, False), (3, 2, 2, 6, 2.5, False),
+               (10, 2, 1, 2, None, True), (20, 3, 1, 1, None, True), (15, 3, 1, 1, None, True),
+               (10, 2, 1, 2, None, True))
 
 
-def _agree(problem: ProblemDefinition, cost_pass: Callable, grad_pass: Callable) -> Iterator[bool]:
-    """Whether cost_pass gives python_pass's bytes on each of _pass_draws,
-    and, where python_pass is finite, grad_pass gives python_grad_pass's on
-    its record."""
-    for problem, x, p, q, z, *rest in _pass_draws(problem):
-        want = python_pass(problem, x, p, q, z, *rest)
-        yield _same(want, cost_pass(problem, x, p, q, z, *rest))
-        if math.isfinite(want[0]):
-            args = (problem, want[2], want[3], p, q, z, *rest)
-            yield _same(python_grad_pass(*args), grad_pass(*args))
+def _solve_draws(problem: ProblemDefinition) -> Iterator[tuple]:
+    """The self-check's solves, with controller._descend's arguments: states,
+    parameters, exogenous vectors and warm starts drawn from the problem's
+    boxes, cost-model timing at c_eval 1e-6 and penalty weights over three
+    and six decades, then a solve from a state of 1e300 in every component,
+    which diverges in its first pass."""
+    from . import controller  # which imports this module
+
+    rng = np.random.default_rng(34)
+    for n_pred, n_contr, n_steps, max_iter, horizons, warm in SOLVE_DRAWS:
+        tau_u = float(problem.tau * rng.integers(1, 31))
+        rho_f, rho_constr = (float(10.0 ** rng.uniform(0.0, decades)) for decades in (3.0, 6.0))
+        design = DesignVector(kappa=1, mu_d=0.0, n_pred=n_pred, n_contr=n_contr, rho_f=rho_f, rho_constr=rho_constr,
+                              max_iter=max_iter)
+        setting = controller.MpcSetting(problem, design, tau_u, n_steps)
+        z_lo, z_hi = setting.z_bounds()
+        x = rng.uniform(problem.x_min, problem.x_max)
+        p = problem.p_nom + problem.p_std * rng.standard_normal(problem.n_p)
+        q = rng.uniform(problem.q_min, problem.q_max)
+        z = setting.default_warm_start() if warm else rng.uniform(z_lo, z_hi)
+        budget = None if horizons is None else 1.0e-6 * controller.WORK_PER_RK_STEP * n_pred * n_steps * horizons
+        yield setting, x, p, q, z, z_lo, z_hi, 1.0e-6, budget
+    yield setting, np.full(problem.n_x, 1.0e300), p, q, z_lo, z_lo, z_hi, 1.0e-6, None
+
+
+def _agree(problem: ProblemDefinition, run: Callable) -> Iterator[bool]:
+    """Whether run gives controller._descend's bytes on each of _solve_draws."""
+    from .controller import _descend  # which imports this module
+
+    for args in _solve_draws(problem):
+        yield _same(_descend(*args), run(*args))
 
 
 def _recurrence_draws(n_x: int, n_z: int) -> Iterator[tuple]:

@@ -18,7 +18,6 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -146,20 +145,17 @@ def shift_warm_start(z: Array, n_u: int) -> Array:
     return np.concatenate([z[n_u:], z[-n_u:]])
 
 
-def _cost_pass(
-    setting: MpcSetting, x: Array, p: Array, q: Array, z: Array, run: Callable | None = None
-) -> tuple[float, int, tuple]:
+def _cost_pass(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) -> tuple[float, int, tuple]:
     """Objective value, the number of RK steps spent, and the pass record.
 
-    Returns inf on divergence.  The pass up to the terminal penalty is run,
-    else the first of compiled.passes_for's pair: compiled or in Python,
-    with the same bytes.  The terminal penalty is one Python call on the
-    final state as a tuple of floats, and a non-finite final state diverges
-    too.  The record is (states, mask) as python_pass describes them; a
-    gradient pass over the same decision vector reuses both.
+    Returns inf on divergence.  The pass up to the terminal penalty is
+    compiled.python_pass.  The terminal penalty is one call on the final
+    state as a tuple of floats, and a non-finite final state diverges too.
+    The record is (states, mask) as python_pass describes them; a gradient
+    pass over the same decision vector reuses both.
     """
     prob, design = setting.problem, setting.design
-    cost, steps, states, mask = (run or compiled.passes_for(prob)[0])(
+    cost, steps, states, mask = compiled.python_pass(
         prob, x, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
         design.rho_constr,
     )
@@ -176,20 +172,19 @@ def open_loop_cost(setting: MpcSetting, x: Array, p: Array, q: Array, z: Array) 
     return _cost_pass(setting, np.asarray(x, dtype=float), p, q, np.asarray(z, dtype=float))[0]
 
 
-def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple, run: Callable | None = None) -> Array:
+def _grad_pass(setting: MpcSetting, p: Array, q: Array, z: Array, record: tuple) -> Array:
     """Exact gradient of the objective via forward sensitivities.
 
     record must come from a finite cost pass at the same state and decision
     vector.  The sum of every term but the terminal one, and the
-    sensitivity S = dx/dz at the end of the horizon, come from run, else
-    the second of compiled.passes_for's pair: compiled or in Python, with
-    the same bytes.  The terminal term rho_f * (terminal_grad @ S) is one
-    Python call, added last, as the last step of python_grad_pass's ordered
+    sensitivity S = dx/dz at the end of the horizon, come from
+    compiled.python_grad_pass.  The terminal term rho_f * (terminal_grad @ S)
+    is one call, added last, as the last step of python_grad_pass's ordered
     sum.
     """
     states, mask = record
     prob, design = setting.problem, setting.design
-    out = (run or compiled.passes_for(prob)[1])(
+    out = compiled.python_grad_pass(
         prob, states, mask, p, q, z, design.n_pred, design.n_contr, setting.n_steps, setting.tau_p, setting.tau_u,
         design.rho_constr,
     )
@@ -216,20 +211,24 @@ def _descend(
     z: Array,
     z_lo: Array,
     z_hi: Array,
-    over_budget: Callable[[int], bool] | None,
+    c_eval: float | None,
+    budget: float | None,
 ) -> tuple[Array, float, int, int, bool]:
     """Projected-gradient descent with Armijo backtracking inside the input box.
 
     Returns (z_best, cost_best, iterations_used, rk_steps, diverged).  The
     best-ever iterate is returned, so the result never degrades z, which
-    must lie in the box.  over_budget(rk_steps), when given, is asked
-    between passes; once it holds, the descent returns the best iterate so
-    far.
+    must lie in the box.  Given a budget, the modelled time c_eval times the
+    work so far is tested against it between passes; once past it, the
+    descent returns the best iterate so far.  This is the reference of
+    compiled.solve_for's compiled solve, and runs where that is None.
     """
     total_steps = 0
-    cost_pass, grad_pass = compiled.passes_for(setting.problem)  # looked up once per solve, not per pass
 
-    cost, steps, record = _cost_pass(setting, x, p, q, z, cost_pass)
+    def over_budget() -> bool:
+        return budget is not None and budget_excess(c_eval * (WORK_PER_RK_STEP * total_steps), budget) > 0.0
+
+    cost, steps, record = _cost_pass(setting, x, p, q, z)
     total_steps += steps
     if not math.isfinite(cost):
         return z, math.inf, 0, total_steps, True
@@ -240,10 +239,10 @@ def _descend(
     iterations = 0
 
     for _ in range(setting.design.max_iter):
-        if over_budget is not None and over_budget(total_steps):
+        if over_budget():
             return best_z, best_cost, iterations, total_steps, False
         # record always describes the trajectory of the current iterate z
-        grad = _grad_pass(setting, p, q, z, record, grad_pass)
+        grad = _grad_pass(setting, p, q, z, record)
         total_steps += setting.design.n_pred * setting.n_steps
         if not np.all(np.isfinite(grad)):
             break
@@ -260,13 +259,13 @@ def _descend(
 
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            if over_budget is not None and over_budget(total_steps):
+            if over_budget():
                 return best_z, best_cost, iterations, total_steps, False
             z_try = np.clip(z - s * grad, z_lo, z_hi)
             d = z_try - z
             if float(np.max(np.abs(d))) == 0.0:
                 break
-            cost_try, steps, try_record = _cost_pass(setting, x, p, q, z_try, cost_pass)
+            cost_try, steps, try_record = _cost_pass(setting, x, p, q, z_try)
             total_steps += steps
             if math.isfinite(cost_try) and cost_try <= cost + ARMIJO_SLOPE * float(grad @ d):
                 accepted = True
@@ -294,35 +293,36 @@ def solve(
     """Solve one OCP from the warm start z0, clipped into the input box, and
     time it according to the TimingSpec.
 
-    A wallclock solve runs the descent timing.repeats times, each to its end,
-    and reports the median time.  A cost-model solve runs it once and
-    reports c_eval times its work.  Given a real-time budget, a cost-model
-    solve stops between passes as soon as its modelled time is past the
-    budget.  The modelled time only grows with the work, so the solve run to
-    its end would overrun too; the time returned still does, and a solve
-    within the budget is unchanged.  The cut falls between whole RK steps,
-    so work_units still counts the stage evaluations made.
+    The descent is the problem's compiled solve where compiled.solve_for
+    gives one, else _descend, with the same bytes.  A wallclock solve runs
+    the descent timing.repeats times, each to its end, and reports the
+    median time.  A cost-model solve runs it once and reports c_eval times
+    its work.  Given a real-time budget, a cost-model solve stops between
+    passes as soon as its modelled time is past the budget.  The modelled
+    time only grows with the work, so the solve run to its end would overrun
+    too; the time returned still does, and a solve within the budget is
+    unchanged.  The cut falls between whole RK steps, so work_units still
+    counts the stage evaluations made.
     """
     x = np.asarray(x, dtype=float)
     z_lo, z_hi = setting.z_bounds()
     z = np.clip(np.asarray(z0, dtype=float), z_lo, z_hi)
     c_eval = timing.c_eval
     repeats = timing.repeats
-    over_budget = None
     if timing.mode == "cost-model":
         if c_eval is None:
             raise ValueError("cost-model timing requires c_eval")
         repeats = 1
-        if budget is not None:
-            def over_budget(rk_steps: int) -> bool:
-                return budget_excess(c_eval * (WORK_PER_RK_STEP * rk_steps), budget) > 0.0
+    else:
+        budget = None  # a wallclock solve runs to its end
+    descend = compiled.solve_for(setting.problem) or _descend
 
     times = []
     # divergent trial trajectories are expected and handled; keep them quiet
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(repeats):  # every repeat returns the same result
             t0 = time.perf_counter()
-            z_opt, cost, iters, rk_steps, diverged = _descend(setting, x, p, q, z, z_lo, z_hi, over_budget)
+            z_opt, cost, iters, rk_steps, diverged = descend(setting, x, p, q, z, z_lo, z_hi, c_eval, budget)
             times.append(time.perf_counter() - t0)
     work = WORK_PER_RK_STEP * rk_steps
     solver_time = c_eval * work if timing.mode == "cost-model" else statistics.median(times)
@@ -418,19 +418,19 @@ def simulate_closed_loop(
 
 
 def calibrate_c_eval(problem: ProblemDefinition, n: int = 20000) -> float:
-    """Seconds per RK stage evaluation, measured by timing cost passes as
-    solves run them, compiled or in Python, on a fixed nominal setting:
+    """Seconds per RK stage evaluation, measured by timing whole solves on
+    the path solves take, compiled or in Python, on a fixed nominal setting:
     a mid-range design from the midpoints of the state and exogenous boxes,
     at p_nom and the default warm start.  About n stage evaluations are timed."""
     design = DesignVector(kappa=4, mu_d=0.5, n_pred=10, n_contr=3, rho_f=10.0, rho_constr=1.0e4, max_iter=10)
     setting = MpcSetting.from_design(problem, design)
     x, q = 0.5 * (problem.x_min + problem.x_max), 0.5 * (problem.q_min + problem.q_max)
     z = setting.default_warm_start()
-    passes = max(1, round(n / (WORK_PER_RK_STEP * design.n_pred * setting.n_steps)))
-    steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        _cost_pass(setting, x, problem.p_nom, q, z)  # warm any lazy setup, the compiled pass's among it
-        t0 = time.perf_counter()
-        for _ in range(passes):
-            steps += _cost_pass(setting, x, problem.p_nom, q, z)[1]
-    return (time.perf_counter() - t0) / (WORK_PER_RK_STEP * steps)
+    timing = TimingSpec("cost-model", c_eval=1.0)  # no clock inside the timed solves
+    # warm any lazy setup, the compiled solve's among it; every solve does this work
+    work = solve(setting, x, problem.p_nom, q, z, timing).work_units
+    solves = max(1, round(n / work))
+    t0 = time.perf_counter()
+    for _ in range(solves):
+        solve(setting, x, problem.p_nom, q, z, timing)
+    return (time.perf_counter() - t0) / (solves * work)

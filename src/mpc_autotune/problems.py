@@ -51,8 +51,8 @@ class ProblemDefinition:
     call of each on all the points it needs.  terminal_penalty_grad(x, p, q)
     gets one point, as an array, and returns shape (n_x,).
 
-    c_source, optional, is C text defining the six callbacks the compiled
-    passes call (compiled.py), each for one point, with these signatures
+    c_source, optional, is C text defining the eight callbacks the compiled
+    solve calls (compiled.py), each for one point, with these signatures
     (arrays of n_x, n_u, n_p, n_q and n_c doubles, the Jacobians row-major:
     A n_x x n_x, B n_x x n_u, Cx n_c x n_x and Cu n_c x n_u; <math.h> is
     included before it):
@@ -60,24 +60,27 @@ class ProblemDefinition:
         void rhs(const double *x, const double *u, const double *p, double *dx);
         double stage_cost(const double *x, const double *u, const double *p, const double *q);
         void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c);
+        double terminal_penalty_base(const double *x, const double *p, const double *q);
         void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B);
         void stage_cost_grad(const double *x, const double *u, const double *p, const double *q,
                              double *lx, double *lu);
         void constraint_jac(const double *x, const double *u, const double *p, const double *q,
                             double *Cx, double *Cu);
+        void terminal_penalty_grad(const double *x, const double *p, const double *q, double *g);
 
     They must compute the same floats as their Python callbacks do,
     operation for operation (Python evaluates a + b * c + d as
     (a + (b * c)) + d; math.sin is libm's sin, and so must np.sin be for a
-    derivative that calls it); constraint_map and constraint_jac are still
-    defined, with empty bodies, when n_c is 0.  The six are one contract:
-    given all of them, and rhs_jac, stage_cost_grad and constraint_jac in
-    Python too, the cost pass and the gradient pass run in one compiled
-    call each, once a self-check per process has found the Python passes'
-    bytes on random passes.  A c_source without one of the six, a problem
-    without one of the Python derivative callbacks, or a host without a C
-    compiler runs both passes in Python.  The terminal penalty and its
-    gradient stay in Python.
+    derivative that calls it; np.dot of two vectors is numpy_ddot(n, x, y),
+    which the solve defines before the c_source); constraint_map and
+    constraint_jac are still defined, with empty bodies, when n_c is 0.
+    The eight are one contract: given all of them, and rhs_jac,
+    stage_cost_grad, terminal_penalty_grad and constraint_jac in Python
+    too, each solve runs in one compiled call, once a self-check per
+    process has found the Python solve's bytes on random solves.  A
+    c_source without one of the eight, a problem without one of the Python
+    derivative callbacks, or a host without a C compiler runs the solve in
+    Python.
     """
 
     n_x: int

@@ -113,14 +113,16 @@ def pvtol_constraints(x: tuple, u: tuple, p: tuple, q: tuple) -> tuple[float, ..
     return (theta_dot - q3, -theta_dot - q3, theta - q4, -theta - q4)
 
 
-# the three value callbacks and the three derivative callbacks in C,
-# operation for operation, for the compiled cost and gradient passes
-# (ProblemDefinition.c_source); the weights are written with repr, which
-# round-trips every float, and sin and cos are libm's, which np.sin and
-# np.cos equal on float64 here (a numpy whose sin differs fails the
-# passes' self-check, and the Python callbacks run)
+# the four value callbacks and the four derivative callbacks in C,
+# operation for operation, for the compiled solve (ProblemDefinition.c_source);
+# the weights are written with repr, which round-trips every float, sin and
+# cos are libm's, which np.sin and np.cos equal on float64 here (a numpy
+# whose sin differs fails the solve's self-check, and the Python solve
+# runs), and np.dot(Q_DIAG, dx * dx) is numpy_ddot
 _2Q, _2R, _TRIM = _2Q_DIAG.tolist(), _2R_DIAG.tolist(), U_TRIM.tolist()
 PVTOL_C_SOURCE = f"""
+static const double Q_DIAG[6] = {{{", ".join(map(repr, Q_DIAG.tolist()))}}};
+
 void rhs(const double *x, const double *u, const double *p, double *dx)
 {{
     const double s = sin(x[2]), c = cos(x[2]);
@@ -147,6 +149,13 @@ void constraint_map(const double *x, const double *u, const double *p, const dou
     c[1] = -x[5] - q[2];
     c[2] = x[2] - q[3];
     c[3] = -x[2] - q[3];
+}}
+
+double terminal_penalty_base(const double *x, const double *p, const double *q)
+{{
+    const double d0 = x[0] - q[0], d1 = x[1] - q[1];
+    const double dd[6] = {{d0 * d0, d1 * d1, x[2] * x[2], x[3] * x[3], x[4] * x[4], x[5] * x[5]}};
+    return sqrt(numpy_ddot(6, Q_DIAG, dd));
 }}
 
 void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
@@ -177,6 +186,17 @@ void stage_cost_grad(const double *x, const double *u, const double *p, const do
     lx[5] = x[5] * {_2Q[5]!r};
     lu[0] = (u[0] - {_TRIM[0]!r}) * {_2R[0]!r};
     lu[1] = (u[1] - {_TRIM[1]!r}) * {_2R[1]!r};
+}}
+
+void terminal_penalty_grad(const double *x, const double *p, const double *q, double *g)
+{{
+    const double dx[6] = {{x[0] - q[0], x[1] - q[1], x[2], x[3], x[4], x[5]}};
+    double dd[6];
+    for (int i = 0; i < 6; i++)
+        dd[i] = dx[i] * dx[i];
+    const double norm = sqrt(numpy_ddot(6, Q_DIAG, dd));
+    for (int i = 0; i < 6; i++)
+        g[i] = norm < 1.0e-12 ? 0.0 : Q_DIAG[i] * dx[i] / norm; /* a subgradient at the target */
 }}
 
 void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu)

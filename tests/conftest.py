@@ -140,6 +140,7 @@ def oscillator_problem() -> ProblemDefinition:
         terminal_penalty_base=lambda x, p, q: x[0] * x[0] + x[1] * x[1],
         rhs_jac=oscillator_rhs_jac,
         stage_cost_grad=oscillator_stage_cost_grad,
+        terminal_penalty_grad=lambda x, p, q: x * 2.0,
         constraint_jac=oscillator_constraint_jac,
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
@@ -152,6 +153,10 @@ double stage_cost(const double *x, const double *u, const double *p, const doubl
     return (x[0] - q[0]) * (x[0] - q[0]) + x[1] * x[1] + 0.1 * u[0] * u[0];
 }
 void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c) {}
+double terminal_penalty_base(const double *x, const double *p, const double *q)
+{
+    return x[0] * x[0] + x[1] * x[1];
+}
 void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
 {
     A[0] = 0.0;
@@ -166,6 +171,11 @@ void stage_cost_grad(const double *x, const double *u, const double *p, const do
     lx[0] = (x[0] - q[0]) * 2.0;
     lx[1] = x[1] * 2.0;
     lu[0] = u[0] * 0.2;
+}
+void terminal_penalty_grad(const double *x, const double *p, const double *q, double *g)
+{
+    g[0] = x[0] * 2.0;
+    g[1] = x[1] * 2.0;
 }
 void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu) {}
 """,
@@ -211,6 +221,7 @@ def cubic_problem() -> ProblemDefinition:
         terminal_penalty_base=lambda x, p, q: x[0] * x[0],
         rhs_jac=cubic_rhs_jac,
         stage_cost_grad=cubic_stage_cost_grad,
+        terminal_penalty_grad=lambda x, p, q: x * 2.0,
         constraint_jac=cubic_constraint_jac,
         c_source="""
 void rhs(const double *x, const double *u, const double *p, double *dx)
@@ -225,6 +236,10 @@ void constraint_map(const double *x, const double *u, const double *p, const dou
 {
     c[0] = x[0] - 1.0;
 }
+double terminal_penalty_base(const double *x, const double *p, const double *q)
+{
+    return x[0] * x[0];
+}
 void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
 {
     A[0] = x[0] * x[0] * 3.0;
@@ -234,6 +249,10 @@ void stage_cost_grad(const double *x, const double *u, const double *p, const do
 {
     lx[0] = x[0] * 2.0;
     lu[0] = u[0] * 2.0;
+}
+void terminal_penalty_grad(const double *x, const double *p, const double *q, double *g)
+{
+    g[0] = x[0] * 2.0;
 }
 void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu)
 {

@@ -356,7 +356,7 @@ def test_per_period_callbacks_are_called_once_per_gradient_pass():
         return callback
 
     prob = dataclasses.replace(pvtol, **{name: counting(name) for name in calls})
-    assert compiled.passes_for(prob)[1] is compiled.python_grad_pass
+    assert compiled.solve_for(prob) is None
     design = DesignVector(kappa=4, mu_d=0.5, n_pred=6, n_contr=3, rho_f=10.0, rho_constr=1e4, max_iter=10)
     setting = MpcSetting.from_design(prob, design)
     scenario = generate_cloud(prob, 1, seed=4, duration=0.5)[0]
@@ -506,58 +506,57 @@ def counting(counts, key, fn):
 
 
 def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
-    # the compiled counterpart of the test above: the one self-check runs the
-    # Python cost pass once per draw, and afterwards every cost pass of a
-    # solve is one compiled call; neither the Python pass, rhs nor a Python
-    # derivative callback runs again
+    # the one self-check runs the Python solve once per draw, and afterwards
+    # every solve, its cost passes among them, is one compiled call; neither
+    # the Python solve, the Python pass, rhs nor a Python callback of the
+    # objective runs again
     prob, setting = pvtol_setting()
     functions = compiled.load("passes", prob.c_source)
     if functions is None:
-        pytest.skip("the compiled passes cannot be built here")
-    callbacks = ("rhs", "rhs_jac", "stage_cost_grad", "constraint_jac")
-    counts = dict.fromkeys(("compiled", "python", "cost passes") + callbacks, 0)
+        pytest.skip("the compiled solve cannot be built here")
+    callbacks = ("rhs", "rhs_jac", "stage_cost_grad", "constraint_jac", "terminal_penalty_base")
+    counts = dict.fromkeys(("compiled", "python solves", "python passes") + callbacks, 0)
     load = compiled.load
     monkeypatch.setattr(compiled, "load", lambda stem, c_source="": (
-        (counting(counts, "compiled", functions[0]), functions[1]) if stem == "passes" else load(stem, c_source)))
+        (counting(counts, "compiled", functions[0]),) if stem == "passes" else load(stem, c_source)))
     monkeypatch.setattr(compiled, "_verdicts", {})
-    monkeypatch.setattr(compiled, "python_pass", counting(counts, "python", compiled.python_pass))
-    monkeypatch.setattr(controller, "_cost_pass", counting(counts, "cost passes", controller._cost_pass))
+    monkeypatch.setattr(compiled, "python_pass", counting(counts, "python passes", compiled.python_pass))
+    monkeypatch.setattr(controller, "_descend", counting(counts, "python solves", controller._descend))
     for name in callbacks:
         setattr(prob, name, counting(counts, name, getattr(prob, name)))
-    assert compiled.passes_for(prob)[0] is not compiled.python_pass
-    draws = len(list(compiled._pass_draws(prob)))
-    assert counts["compiled"] == counts["python"] == draws and counts["rhs"] > 0 and counts["cost passes"] == 0
+    assert compiled.solve_for(prob) is not None
+    draws = len(list(compiled._solve_draws(prob)))
+    assert counts["compiled"] == counts["python solves"] == draws and counts["python passes"] > draws
+    assert counts["rhs"] > 0
     x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
-    passes = []
+    calls = []
     for timing in (COST_TIMING, TimingSpec("cost-model", c_eval=1.0e-6, repeats=3), TimingSpec("wallclock", repeats=3)):
         counts.update(dict.fromkeys(counts, 0))
-        solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), timing)
-        assert counts["compiled"] == counts["cost passes"] > 0
-        assert counts["python"] == 0 and all(counts[name] == 0 for name in callbacks)
-        passes.append(counts["cost passes"])
-    assert passes[1] == passes[0] and passes[2] == 3 * passes[0]
+        result = solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), timing)
+        assert result.iterations_used > 0
+        assert counts["python solves"] == counts["python passes"] == 0 and all(counts[name] == 0 for name in callbacks)
+        calls.append(counts["compiled"])
+    assert calls == [1, 1, 3]
 
 
 def test_compiled_grad_passes_call_no_python_derivative_after_the_self_check(monkeypatch):
-    # once the self-check has run the Python gradient pass, every gradient
-    # pass of a solve is one compiled call, which calls none of the Python
-    # derivative callbacks and leaves the terminal gradient to Python
+    # once the self-check has run the Python solve, whose gradient passes call
+    # the Python derivatives, a compiled solve calls none of them, the
+    # terminal gradient neither
     prob, setting = pvtol_setting()
-    if compiled._bind_passes(prob) is None:
-        pytest.skip("the compiled passes cannot be built here")
+    if compiled._bind_solve(prob) is None:
+        pytest.skip("the compiled solve cannot be built here")
     names = ("rhs_jac", "stage_cost_grad", "constraint_jac", "terminal_penalty_grad")
-    counts = dict.fromkeys(names + ("gradient passes",), 0)
+    counts = dict.fromkeys(names, 0)
     for name in names:
         setattr(prob, name, counting(counts, name, getattr(prob, name)))
     monkeypatch.setattr(compiled, "_verdicts", {})
-    monkeypatch.setattr(controller, "_grad_pass", counting(counts, "gradient passes", controller._grad_pass))
-    assert compiled.passes_for(prob)[1] is not compiled.python_grad_pass
-    assert all(counts[name] > 0 for name in ("rhs_jac", "stage_cost_grad", "constraint_jac"))
+    assert compiled.solve_for(prob) is not None
+    assert all(counts[name] > 0 for name in names)
     counts.update(dict.fromkeys(counts, 0))
     x0 = np.array([0.9, 0.9, 0.3, 0.5, -0.5, 0.5])
-    solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), COST_TIMING)
-    assert counts["gradient passes"] == counts["terminal_penalty_grad"] > 0
-    assert counts["rhs_jac"] == counts["stage_cost_grad"] == counts["constraint_jac"] == 0
+    result = solve(setting, x0, prob.p_nom, np.array([0.0, 0.0, 1.0, 0.5]), setting.default_warm_start(), COST_TIMING)
+    assert result.iterations_used > 0 and all(counts[name] == 0 for name in names)
 
 
 # closed loop -----------------------------------------------------------------------
@@ -711,22 +710,23 @@ def test_report_json_roundtrip():
 
 
 def test_calibrate_c_eval_is_positive_and_small(monkeypatch):
-    # it times cost passes on the path solves take: compiled for PVTOL where
-    # the pass builds, in Python without c_source
+    # it times whole solves on the path solves take: compiled for PVTOL where
+    # the solve builds, in Python without c_source
     paths = []
+    solve_for = compiled.solve_for
 
-    def recording(setting, *args):
-        paths.append(compiled.passes_for(setting.problem)[0])
-        return _cost_pass(setting, *args)
+    def recording(problem):
+        paths.append(solve_for(problem))
+        return paths[-1]
 
-    monkeypatch.setattr(controller, "_cost_pass", recording)
+    monkeypatch.setattr(compiled, "solve_for", recording)
     python_pvtol = dataclasses.replace(pvtol_problem(), c_source=None)
     for prob in (pvtol_problem(), python_pvtol):
         paths.clear()
-        c = calibrate_c_eval(prob, n=2000)
+        c = calibrate_c_eval(prob, n=20000)
         assert 0.0 < c < 1e-3
-        assert len(paths) > 10 and len(set(paths)) == 1
-        assert (paths[0] is compiled.python_pass) == (prob is python_pvtol or compiled.load("passes", prob.c_source) is None)
+        assert len(paths) > 2 and all(found is paths[0] for found in paths)
+        assert (paths[0] is None) == (prob is python_pvtol or compiled.load("passes", prob.c_source) is None)
 
 
 def test_rhs_gets_tuples_of_floats_everywhere():

@@ -10,87 +10,102 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpc_autotune import DesignBounds, MpcSetting, RunConfig, pvtol_problem, realize, run, sample_shaping
+from mpc_autotune import (DesignBounds, DesignVector, MpcSetting, RunConfig, TimingSpec, pvtol_problem, realize, run,
+                          sample_shaping, solve)
 from mpc_autotune import compiled, controller, pvtol
 from conftest import cubic_problem, oscillator_problem
 
 PVTOL = pvtol_problem()
 TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode="cost-model", c_eval=1e-6, seed=3)
 
-# PVTOL's c_source with one constant of rhs_jac changed, and without the derivatives
+# PVTOL's c_source with one constant of rhs_jac changed, or of the terminal
+# penalty's gradient; without the derivatives, and without the terminal callbacks
 CHANGED_DERIVATIVE = PVTOL.c_source.replace("= p[1];", "= p[1] * 1.0000000000000002;")
+CHANGED_TERMINAL = PVTOL.c_source.replace("dx[i] / norm;", "dx[i] / norm * 1.0000000000000002;")
 VALUES_ONLY = PVTOL.c_source[: PVTOL.c_source.index("void rhs_jac")]
-PYTHON_PASSES = (compiled.python_pass, compiled.python_grad_pass)
+NO_TERMINAL = "\n\n".join(part for part in PVTOL.c_source.split("\n\n") if "terminal_penalty" not in part)
 
 
-def compiled_pass(prob):
-    passes = compiled._bind_passes(prob)
-    if passes is None:
-        pytest.skip("the compiled passes cannot be built here")
-    return passes[0]
+def compiled_objective(prob):
+    """The compiled cost pass and terminal penalty, through a compiled solve
+    whose budget cuts it after its first pass: (cost, RK steps) from
+    (setting, x, p, q, z), as controller._cost_pass gives them."""
+    run = compiled._bind_solve(prob)
+    if run is None:
+        pytest.skip("the compiled solve cannot be built here")
+
+    def objective(setting, x, p, q, z):
+        z_lo, z_hi = setting.z_bounds()
+        _, cost, iterations, steps, _ = run(setting, x, p, q, z, z_lo, z_hi, 1.0, 1.0e-300)
+        assert iterations == 0
+        return cost, steps
+    return objective
+
+
+def setting_of(prob, n_pred, n_contr, n_steps, tau_u, rho_f=10.0, rho_constr=1.0e3):
+    design = DesignVector(kappa=1, mu_d=0.0, n_pred=n_pred, n_contr=n_contr, rho_f=rho_f, rho_constr=rho_constr,
+                          max_iter=1)
+    return MpcSetting(prob, design, tau_u, n_steps)
 
 
 def random_passes(prob, rng, draws, x_scale=1.0):
-    """Arguments of random passes: tail periods (n_contr < n_pred), 1 to 10
-    steps per period, inputs from the whole box, states from the box
-    scaled by x_scale, and penalty weights over seven decades."""
+    """Arguments (setting, x, p, q, z) of random cost passes: tail periods
+    (n_contr < n_pred), 1 to 10 steps per period, inputs from the whole box,
+    states from the box scaled by x_scale, and penalty weights over three
+    and seven decades."""
     for _ in range(draws):
         n_pred = int(rng.integers(1, 13))
         n_contr = int(rng.integers(1, n_pred + 1))
-        n_steps = int(rng.integers(1, 11))
-        tau_u = float(prob.tau * rng.integers(1, 11))
+        setting = setting_of(prob, n_pred, n_contr, int(rng.integers(1, 11)), float(prob.tau * rng.integers(1, 11)),
+                             float(10.0 ** rng.uniform(0.0, 3.0)), float(10.0 ** rng.uniform(0.0, 7.0)))
         yield (
-            prob,
+            setting,
             x_scale * rng.uniform(prob.x_min, prob.x_max),
             prob.p_nom + prob.p_std * rng.standard_normal(prob.n_p),
             rng.uniform(prob.q_min, prob.q_max),
-            rng.uniform(np.tile(prob.u_min, n_contr), np.tile(prob.u_max, n_contr)),
-            n_pred, n_contr, n_steps, tau_u / n_steps, tau_u, float(10.0 ** rng.uniform(0.0, 7.0)),
+            rng.uniform(*setting.z_bounds()),
         )
 
 
 def assert_same(want, got):
-    cost, steps, states, mask = want
-    assert float(got[0]).hex() == float(cost).hex()
-    assert got[1] == steps
-    assert got[2][: len(states)].tobytes() == states.tobytes()
-    assert got[3].dtype == np.int8 and got[3].tobytes() == mask.tobytes()
+    assert float(got[0]).hex() == float(want[0]).hex()
+    assert got[1] == want[1]
 
 
 def test_compiled_pass_equals_the_python_pass_byte_for_byte_on_pvtol():
-    fast = compiled_pass(PVTOL)
+    fast = compiled_objective(PVTOL)
     rng = np.random.default_rng(31)
     seen = {"tail": 0, "active": 0, "large angle": 0}
     # states up to 2000 times the sampling box: |theta| up to 1e3, where sin and cos reduce their argument
     for x_scale in (1.0, 20.0, 2000.0):
         for args in random_passes(PVTOL, rng, 150, x_scale):
-            want = compiled.python_pass(*args)
-            got = fast(*args)
-            assert_same(want, got)
-            assert math.isfinite(want[0]) and got[2].shape == (4 * args[5] * args[7] + 1, 6)
-            seen["tail"] += args[6] < args[5]
-            seen["active"] += bool(want[3].any())
+            want = controller._cost_pass(*args)
+            assert_same(want, fast(*args))
+            assert math.isfinite(want[0])
+            design = args[0].design
+            seen["tail"] += design.n_contr < design.n_pred
+            seen["active"] += bool(want[2][1].any())
             seen["large angle"] += abs(args[1][2]) > 100.0
     assert all(n > 50 for n in seen.values()), seen
 
 
 def test_compiled_pass_equals_the_python_pass_without_constraints():
     prob = oscillator_problem()
-    fast = compiled_pass(prob)
+    fast = compiled_objective(prob)
     for args in random_passes(prob, np.random.default_rng(32), 200, x_scale=3.0):
-        want = compiled.python_pass(*args)
-        assert want[3].shape == (args[5], 0)
+        want = controller._cost_pass(*args)
+        assert want[2][1].shape == (args[0].design.n_pred, 0)
         assert_same(want, fast(*args))
-    assert compiled.passes_for(prob)[0] is not compiled.python_pass
+    assert compiled.solve_for(prob) is not None
 
 
 def test_an_overflowing_pass_diverges_with_the_same_steps():
     prob = cubic_problem()
-    fast = compiled_pass(prob)
+    fast = compiled_objective(prob)
     diverged = 0
     for args in random_passes(prob, np.random.default_rng(33), 300, x_scale=10.0):
         with np.errstate(all="ignore"):
-            want = compiled.python_pass(*args)
+            want = controller._cost_pass(*args)
         assert_same(want, fast(*args))
         diverged += want[0] == math.inf
     assert 50 < diverged < 300
@@ -99,56 +114,79 @@ def test_an_overflowing_pass_diverges_with_the_same_steps():
 def test_a_math_domain_error_diverges_as_the_compiled_pass_does():
     # theta overflows within a period, then math.sin(inf) raises ValueError in
     # the Python pass, where the compiled pass computes NaN and diverges
-    fast = compiled_pass(PVTOL)
+    fast = compiled_objective(PVTOL)
     x = np.array([0.0, 0.0, 1.0e308, 0.0, 0.0, 1.0e308])
     with np.errstate(all="ignore"):
         for n_pred, n_contr, n_steps in ((1, 1, 1), (3, 2, 3), (6, 2, 4)):
-            args = (PVTOL, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, n_contr), n_pred, n_contr, n_steps,
-                    0.05, 0.05 * n_steps, 1.0e3)
-            want = compiled.python_pass(*args)
-            got = fast(*args)
-            assert want[:2] == got[:2] == (math.inf, n_steps)
-            assert got[2][: len(want[2])].tobytes() == want[2].tobytes()
-            assert compiled._same(want, got)  # the masks may differ: a diverged record is never read
-    # controller._cost_pass on both paths
+            args = (setting_of(PVTOL, n_pred, n_contr, n_steps, 0.05 * n_steps), x, PVTOL.p_nom, PVTOL.q_min,
+                    np.tile(PVTOL.u_trim, n_contr))
+            want = controller._cost_pass(*args)
+            assert want[:2] == fast(*args) == (math.inf, n_steps)
+    # whole solves on both paths: both diverge in their first pass
     design = MpcSetting.from_design(PVTOL, realize(sample_shaping(np.random.default_rng(1)), 0.5, DesignBounds())).design
-    passes = [
-        controller._cost_pass(MpcSetting.from_design(prob, design), x, PVTOL.p_nom, PVTOL.q_min,
-                              np.tile(PVTOL.u_trim, design.n_contr))[:2]
+    results = [
+        solve(MpcSetting.from_design(prob, design), x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, design.n_contr),
+              TimingSpec("cost-model", c_eval=1e-6))
         for prob in (PVTOL, dataclasses.replace(PVTOL, c_source=None))
     ]
-    assert passes[0] == passes[1] and passes[0][0] == math.inf
+    assert results[0].diverged and results[1].diverged and results[0].work_units == results[1].work_units
 
 
 def test_a_self_check_draw_that_diverges_by_a_math_domain_error_keeps_the_compiled_pass(monkeypatch):
-    # from this state C flags constraints of the diverged period, whose
-    # constraint_map gets NaN, while the Python pass stops at the exception
-    fast = compiled_pass(PVTOL)
+    # from this state the compiled pass flags constraints of the diverged
+    # period, whose constraint_map gets NaN, while the Python pass stops at
+    # the exception; a diverged record is never read, so the solves agree
+    run = compiled._bind_solve(PVTOL)
+    if run is None:
+        pytest.skip("the compiled solve cannot be built here")
     x = np.array([0.0, 0.0, 1.0e308, 0.0, 0.0, 1.0e308])
-    diverging = (PVTOL, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, 2), 3, 2, 3, 0.05, 0.15, 1.0e3)
+    setting = setting_of(PVTOL, 3, 2, 3, 0.15)
+    diverging = (setting, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, 2), *setting.z_bounds(), 1e-6, None)
     with np.errstate(all="ignore"):
-        want, got = compiled.python_pass(*diverging), fast(*diverging)
-    assert want[0] == got[0] == math.inf and want[3].tobytes() != got[3].tobytes()
-    draws = compiled._pass_draws
-    monkeypatch.setattr(compiled, "_pass_draws", lambda problem: [diverging, *draws(problem)])
+        want, got = controller._descend(*diverging), run(*diverging)
+    assert want[4] and compiled._same(want, got)
+    draws = compiled._solve_draws
+    monkeypatch.setattr(compiled, "_solve_draws", lambda problem: [diverging, *draws(problem)])
     monkeypatch.setattr(compiled, "_verdicts", {})
-    assert compiled.passes_for(PVTOL) != PYTHON_PASSES
+    assert compiled.solve_for(PVTOL) is not None
 
 
 def test_a_changed_constant_fails_the_self_check(fresh_build):
     altered = dataclasses.replace(PVTOL, c_source=PVTOL.c_source.replace("- 1.0;", "- 1.0000000000000002;"))
     assert altered.c_source != PVTOL.c_source
     if compiled.load("passes", altered.c_source) is None:
-        pytest.skip("the compiled passes cannot be built here")
-    assert compiled.passes_for(altered) == PYTHON_PASSES
-    assert compiled.passes_for(PVTOL) != PYTHON_PASSES
+        pytest.skip("the compiled solve cannot be built here")
+    assert compiled.solve_for(altered) is None
+    assert compiled.solve_for(PVTOL) is not None
     # the key holds the callbacks: a replaced rhs is checked anew, and fails
-    assert compiled.passes_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
-        == PYTHON_PASSES
-    # a changed constant in a derivative fails the one self-check too: both passes run in Python
-    altered = dataclasses.replace(PVTOL, c_source=CHANGED_DERIVATIVE)
-    assert compiled._bind_passes(altered) is not None
-    assert compiled.passes_for(altered) == PYTHON_PASSES
+    assert compiled.solve_for(dataclasses.replace(PVTOL, rhs=lambda x, u, p: PVTOL.rhs(x, u, (p[0], p[1] * 1.5)))) \
+        is None
+    # a changed constant in a derivative, or in the terminal penalty's
+    # gradient, fails the one self-check too: the solve runs in Python
+    for c_source in (CHANGED_DERIVATIVE, CHANGED_TERMINAL):
+        altered = dataclasses.replace(PVTOL, c_source=c_source)
+        assert c_source != PVTOL.c_source and compiled._bind_solve(altered) is not None
+        assert compiled.solve_for(altered) is None
+
+
+def test_a_failed_build_is_recorded_and_not_tried_again(tmp_path, fresh_build, monkeypatch):
+    # a c_source without the terminal callbacks fails to link; the cache
+    # records the failure, so a later process starts no compiler for it
+    assert compiled.load("passes", NO_TERMINAL) is None
+    assert fresh_build("passes") == [os.getpid()]
+    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".failed"]
+    compiled.load.cache_clear()
+    assert compiled.load("passes", NO_TERMINAL) is None
+    assert fresh_build("passes") == [os.getpid()]
+    # a missing compiler is not recorded: once there is one, the library is built
+    compiled.load.cache_clear()
+    cc = compiled.CC
+    monkeypatch.setattr(compiled, "CC", "no-such-compiler")
+    assert compiled.load("passes", PVTOL.c_source) is None
+    compiled.load.cache_clear()
+    monkeypatch.setattr(compiled, "CC", cc)
+    assert compiled.load("passes", PVTOL.c_source) is not None
+    assert fresh_build("passes") == [os.getpid()] * 2
 
 
 def tiny_artifacts(out: Path, **changes) -> list[bytes]:
@@ -159,15 +197,15 @@ def tiny_artifacts(out: Path, **changes) -> list[bytes]:
 
 
 def ran_compiled(stem: str = "passes") -> bool:
-    """Whether the run's passes (one verdict for both; none where they were
-    decided without a self-check), or its recurrence (one verdict per size,
-    all alike), ran compiled."""
+    """Whether the run's solve (one verdict; none where it was decided
+    without a self-check), or its recurrence (one verdict per size, all
+    alike), ran compiled."""
     runs = {found for key, found in compiled._verdicts.items() if key[0] == stem}
     if stem == "sensitivity":
         assert runs and (compiled.numpy_recurrence not in runs or runs == {compiled.numpy_recurrence})
         return compiled.numpy_recurrence not in runs
     assert len(runs) <= 1
-    return bool(runs) and runs != {PYTHON_PASSES}
+    return runs not in (set(), {None})
 
 
 def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypatch):
@@ -182,22 +220,30 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
         monkeypatch.setattr(compiled, "_verdicts", {})
         compiled.load.cache_clear()
 
-    # a c_source with one constant changed, of a value callback or of a
-    # derivative: built, but the self-check fails, and both passes run in Python
+    def libraries():
+        return sorted(path for path in cache.iterdir() if path.suffix == ".so")
+
+    # a c_source with one constant changed, of a value callback, of a
+    # derivative or of the terminal gradient: built, but the self-check
+    # fails, and the Python solve runs on the compiled recurrence
     for label, c_source in (("mismatch", pvtol.PVTOL_C_SOURCE.replace("- 1.0;", "- 1.0000000000000002;")),
-                            ("derivative-mismatch", CHANGED_DERIVATIVE)):
+                            ("derivative-mismatch", CHANGED_DERIVATIVE), ("terminal-mismatch", CHANGED_TERMINAL)):
         fresh()
         monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", c_source)
         assert tiny_artifacts(tmp_path / label) == want and not ran_compiled() and ran_compiled("sensitivity")
-    # a c_source without the derivatives, or one that does not compile: the
-    # build fails and leaves nothing in the cache
-    cached = sorted(cache.iterdir())
-    for label, c_source in (("values-only", VALUES_ONLY), ("failed-build", PVTOL.c_source + "\nnot C at all\n")):
+    assert fresh_build("passes") == [os.getpid()] * 4
+    # a c_source without the derivatives or without the terminal callbacks,
+    # or one that does not compile: the build fails, and the cache gains no
+    # library, only the record of the failure
+    cached = libraries()
+    for label, c_source in (("values-only", VALUES_ONLY), ("no-terminal", NO_TERMINAL),
+                            ("failed-build", PVTOL.c_source + "\nnot C at all\n")):
         fresh()
         monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", c_source)
         assert tiny_artifacts(tmp_path / label) == want and not ran_compiled()
-        assert sorted(cache.iterdir()) == cached
-    assert fresh_build("passes") == [os.getpid()] * 5
+        assert libraries() == cached
+    assert fresh_build("passes") == [os.getpid()] * 7
+    assert len([path for path in cache.iterdir() if path.suffix == ".failed"]) == 3
     monkeypatch.setattr(pvtol, "PVTOL_C_SOURCE", PVTOL.c_source)
     # any C file missing, as from an install without the package data: the libraries it is part of fall back
     sources = compiled.SOURCES
@@ -218,21 +264,26 @@ def test_every_fallback_gives_the_same_artifacts(tmp_path, fresh_build, monkeypa
     monkeypatch.setattr(compiled, "BLAS_SYMBOLS", blas[:3] + ("no_such_cblas_ddot",))
     assert tiny_artifacts(tmp_path / "no-blas-symbol") == want and not ran_compiled() and not ran_compiled("sensitivity")
     monkeypatch.setattr(compiled, "BLAS_SYMBOLS", blas)
-    assert fresh_build("passes") == [os.getpid()] * 5 and fresh_build() == [os.getpid()]
+    assert fresh_build("passes") == [os.getpid()] * 7 and fresh_build() == [os.getpid()]
     # no compiler
     fresh()
     monkeypatch.setattr(compiled, "CC", "no-such-compiler")
     assert tiny_artifacts(tmp_path / "no-compiler") == want and not ran_compiled() and not ran_compiled("sensitivity")
-    # a Python derivative left to finite differences: both passes run in
-    # Python without a self-check, as without a compiler
-    monkeypatch.setattr(pvtol, "pvtol_constraint_jac", None)
-    fresh()
-    by_differences = tiny_artifacts(tmp_path / "differences-no-compiler")
-    monkeypatch.setattr(compiled, "CC", cc)
-    fresh()
-    assert tiny_artifacts(tmp_path / "differences") == by_differences
-    assert not [key for key in compiled._verdicts if key[0] == "passes"] and ran_compiled("sensitivity")
-    assert fresh_build("passes") == [os.getpid()] * 5
+    # a Python derivative left to finite differences, the terminal gradient's
+    # or a constraint Jacobian's: the solve runs in Python without a
+    # self-check, as without a compiler
+    for name in ("pvtol_terminal_grad", "pvtol_constraint_jac"):
+        monkeypatch.setattr(compiled, "CC", "no-such-compiler")
+        real = getattr(pvtol, name)
+        monkeypatch.setattr(pvtol, name, None)
+        fresh()
+        by_differences = tiny_artifacts(tmp_path / f"{name}-no-compiler")
+        monkeypatch.setattr(compiled, "CC", cc)
+        fresh()
+        assert tiny_artifacts(tmp_path / name) == by_differences
+        assert not [key for key in compiled._verdicts if key[0] == "passes"] and ran_compiled("sensitivity")
+        monkeypatch.setattr(pvtol, name, real)
+    assert fresh_build("passes") == [os.getpid()] * 7
 
 
 def test_every_c_file_is_package_data():
@@ -249,30 +300,31 @@ def test_every_c_file_is_package_data():
 
 
 def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
-    passes = tmp_path / "passes"
-    real = compiled._bind_passes
+    # the cost pass is part of the compiled solve, which the parent builds
+    # and self-checks, and the workers run
+    solves = tmp_path / "solves"
+    real = compiled._bind_solve
 
     def logged(problem):
-        found = real(problem)
-        if found is None:
+        fast = real(problem)
+        if fast is None:
             return None
-        fast = found[0]
 
-        def logging_pass(*pass_args):
-            with open(passes, "a") as f:
+        def logging_solve(*args):
+            with open(solves, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return fast(*pass_args)
-        return (logging_pass, *found[1:])
+            return fast(*args)
+        return logging_solve
 
-    monkeypatch.setattr(compiled, "_bind_passes", logged)
+    monkeypatch.setattr(compiled, "_bind_solve", logged)
     run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
     assert fresh_build("passes") == [os.getpid()]
-    assert ran_compiled()  # the parent self-checked; the workers ran the passes
-    assert {int(pid) for pid in passes.read_text().split()} - {os.getpid()}
+    assert ran_compiled()  # the parent self-checked; the workers ran the solves
+    assert {int(pid) for pid in solves.read_text().split()} - {os.getpid()}
 
 
 def apply_fallback(case, tmp_path, monkeypatch):
-    """Leave PVTOL's passes to Python, one way or another."""
+    """Leave PVTOL's solve to Python, one way or another."""
     if case == "no-compiler":
         monkeypatch.setattr(compiled, "CC", "no-such-compiler")
     elif case == "no-passes.c":  # as from an install without the package data
@@ -291,28 +343,27 @@ def apply_fallback(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", ["compiled", "no-compiler", "no-passes.c", "values-only-c-source",
                                   "changed-derivative-constant", "finite-difference-constraint-jac"])
 def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, fresh_build, monkeypatch):
-    """The parent builds and self-checks the cost and gradient passes,
-    compiled or not, and the workers run them, the compiled ones where they
+    """The parent builds and self-checks the solve, whose gradient passes
+    are compiled or not, and the workers run it, the compiled one where it
     passed, without compiling anything; the pooled run's artifacts are
     those of a run in one process."""
     apply_fallback(case, tmp_path, monkeypatch)
-    log = tmp_path / "passes"
+    log = tmp_path / "solves"
 
     def logged(name, real):
-        def logging_pass(*args):
+        def logging_solve(*args):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()} {name}\n")
             return real(*args)
-        return logging_pass
+        return logging_solve
 
     def logged_bind(problem):
-        passes = bind(problem)
-        return passes and (logged("compiled-cost", passes[0]), logged("compiled-gradient", passes[1]))
+        fast = bind(problem)
+        return fast and logged("compiled", fast)
 
-    bind = compiled._bind_passes
-    monkeypatch.setattr(compiled, "_bind_passes", logged_bind)
-    monkeypatch.setattr(controller, "_cost_pass", logged("cost", controller._cost_pass))
-    monkeypatch.setattr(controller, "_grad_pass", logged("gradient", controller._grad_pass))
+    bind = compiled._bind_solve
+    monkeypatch.setattr(compiled, "_bind_solve", logged_bind)
+    monkeypatch.setattr(controller, "_descend", logged("python", controller._descend))
     artifacts = []
     for jobs in (2, 1):
         out = tmp_path / f"jobs-{jobs}"
@@ -321,19 +372,19 @@ def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, 
             run(RunConfig(**TINY, jobs=jobs, out_dir=str(out)))
         artifacts.append([(out / name).read_bytes() for name in ("settings.csv", "trace.json")])
         if jobs == 2:
+            # the self-check runs both solves in the parent
             in_workers = {name for pid, name in map(str.split, log.read_text().splitlines()) if int(pid) != os.getpid()}
-            assert in_workers == {"cost", "gradient"} | ({"compiled-cost", "compiled-gradient"} if case == "compiled"
-                                                         else set())
+            assert in_workers == {"compiled" if case == "compiled" else "python"}
             for stem in ("passes", "sensitivity"):
                 assert set(fresh_build(stem)) <= {os.getpid()}
             verdicts = [found for key, found in compiled._verdicts.items() if key[0] == "passes"]
             assert len(verdicts) == (case != "finite-difference-constraint-jac")
-            assert (verdicts != [] and verdicts[0] != PYTHON_PASSES) == (case == "compiled")
+            assert (verdicts != [] and verdicts[0] is not None) == (case == "compiled")
         monkeypatch.setattr(compiled, "_verdicts", {})
         compiled.load.cache_clear()
     assert artifacts[0] == artifacts[1]
-    # a library is built once; a build that fails leaves nothing to load, so the next run tries again
-    builds = {"compiled": 1, "changed-derivative-constant": 1, "values-only-c-source": 2}.get(case, 0)
+    # a library is built once; a build that fails is recorded, so the next run does not try again
+    builds = {"compiled": 1, "changed-derivative-constant": 1, "values-only-c-source": 1}.get(case, 0)
     assert fresh_build("passes") == [os.getpid()] * builds
 
 

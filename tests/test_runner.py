@@ -381,7 +381,8 @@ def _alive(pid: int) -> bool:
                     reason="needs /proc/<pid>/task/<pid>/children")
 def test_cli_interrupt_ends_a_pooled_run_promptly(tmp_path):
     cfg_path = tmp_path / "config.json"
-    cfg = RunConfig(problem="pvtol", n_trials=6, nb=5, nsb=4, duration=0.5, timing_mode="cost-model",
+    # a hundred candidates: about ten seconds of work, so the interrupt falls mid-run
+    cfg = RunConfig(problem="pvtol", n_trials=100, nb=5, nsb=4, duration=0.5, timing_mode="cost-model",
                     c_eval=1e-6, seed=7, jobs=2, out_dir=str(tmp_path / "out"))
     cfg_path.write_text(json.dumps(cfg.to_mapping()))
     env = dict(os.environ)

@@ -154,8 +154,8 @@ def test_a_transposed_jacobian_keeps_the_numpy_path(recurrence, monkeypatch):
 
 
 def test_a_pooled_run_builds_the_library_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
-    # on the Python gradient pass, which runs the recurrence
-    monkeypatch.setattr(compiled, "_bind_passes", lambda problem: None)
+    # on the Python solve, whose gradient passes run the recurrence
+    monkeypatch.setattr(compiled, "_bind_solve", lambda problem: None)
     passes = tmp_path / "passes"
     real = compiled._compiled_recurrence
 
