@@ -1,30 +1,34 @@
-"""The compiled solve and the compiled sensitivity recurrence.
+"""The compiled solve and loop, and the compiled sensitivity recurrence.
 
 Each runs in one call to a C function, with the bytes of its reference,
 which stays the fallback.  Two libraries hold them: passes (sensitivity.c,
-then passes.c with the problem's c_source in place of its marker line) the
-whole descent of a problem that gives its eight callbacks in C, whose
-reference is controller._descend; and sensitivity (sensitivity.c) the
-recurrence of the Python gradient pass, whose reference is
-numpy_recurrence.  The products of both call the CBLAS routines numpy's
-.dot, matmul and np.dot call.  The Python solve runs on python_pass and
-python_grad_pass, the latter on the compiled recurrence where it runs.
+then passes.c with the problem's c_source in place of its marker line),
+for a problem that gives its eight callbacks in C, the whole descent,
+whose reference is controller._descend, and the whole cost-model closed
+loop, whose reference is controller._simulate's Python loop; and
+sensitivity (sensitivity.c) the recurrence of the Python gradient pass,
+whose reference is numpy_recurrence.  The products of both call the CBLAS
+routines numpy's .dot, matmul and np.dot call.  The Python solve runs on
+python_pass and python_grad_pass, the latter on the compiled recurrence
+where it runs.
 
 Both share one lifecycle.  load compiles a library with cc into CACHE, a
 directory only its owner may write, under a name keyed by the text, the
 flags and the compiler's file, records a failed build there, and binds
 its C functions once per process.  A self-check compares them byte for
 byte with their reference on random draws, once per process for each key,
-and _verdicts keeps what runs: the compiled solve or None, the compiled
-recurrence or numpy_recurrence.  The reference runs on any failure: no
-compiler, no C file, a failed build (a c_source missing a callback fails
-to link), a missing symbol (numpy's BLAS routines too, as with MKL or a
-system BLAS) or a mismatch.  warm_up does all of it ahead of a run.
+and _verdicts keeps what runs: the compiled solve and loop or None, the
+compiled recurrence or numpy_recurrence.  The reference runs on any
+failure: no compiler, no C file, a failed build (a c_source missing a
+callback fails to link), a missing symbol (numpy's BLAS routines too, as
+with MKL or a system BLAS) or a mismatch.  warm_up does all of it ahead of
+a run.
 """
 
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import math
@@ -40,7 +44,7 @@ import numpy as np
 
 from .design import DesignVector
 from .integration import floats, overflowed, rk4_kernel
-from .problems import ProblemDefinition
+from .problems import ProblemDefinition, Scenario
 
 Array = np.ndarray
 
@@ -48,6 +52,8 @@ CC = "cc"
 CACHE = Path("~") / ".cache" / "mpc-autotune"  # the home directory is looked up at the first build
 SOURCES = Path(__file__).parent  # the .c files
 MARKER = b"/* @c_source@ */"  # where a problem's C text goes in passes.c
+# the arguments passes.c's two entry points start with (OCP_ARGUMENTS)
+_OCP = [ctypes.c_void_p] * 4 + [ctypes.c_double] * 3 + [ctypes.c_int64] * 11 + [ctypes.c_double] * 6
 BINDINGS = {  # stem: (C files, flags, libraries, {C function: (its argument types, result type)})
     "sensitivity": (("sensitivity",), ("-O2", "-ffp-contract=off", "-shared", "-fPIC"), (), {
         "sensitivity_pass": ([ctypes.c_void_p] * 3 + [ctypes.c_int64] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 4,
@@ -55,8 +61,8 @@ BINDINGS = {  # stem: (C files, flags, libraries, {C function: (its argument typ
     # -z defs fails the link of a c_source that leaves one of the eight callbacks undefined
     "passes": (("sensitivity", "passes"), ("-O2", "-ffp-contract=off", "-fno-builtin", "-shared", "-fPIC",
                                           "-Wl,-z,defs"), ("-lm",), {
-        "solve": ([ctypes.c_void_p] * 4 + [ctypes.c_double] * 3 + [ctypes.c_int64] * 11 + [ctypes.c_double] * 6
-                  + [ctypes.c_void_p] * 2, None)}),
+        "solve": (_OCP + [ctypes.c_void_p] * 2, None),
+        "simulate": (_OCP + [ctypes.c_int64] * 2 + [ctypes.c_double] + [ctypes.c_void_p] * 7, None)}),
 }
 # gemm, gemv, axpy and dot, as numpy's bundled scipy-openblas (64-bit integers) exports them
 BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_", "scipy_cblas_ddot64_")
@@ -216,13 +222,14 @@ def python_grad_pass(
     return np.concatenate((np.cumsum(flat_terms, axis=0)[-1:], S_at[n_pred]))
 
 
-def solve_for(problem: ProblemDefinition) -> Callable | None:
-    """The compiled solve of this problem, with controller._descend's
-    arguments and results, once its self-check agreed, else None, and the
-    problem runs _descend in Python; decided once per process for each
-    c_source, eight callbacks and sizes.  A problem without a c_source, or
-    without one of the four Python derivative callbacks (finite
-    differences), runs in Python without a self-check."""
+def solve_for(problem: ProblemDefinition) -> tuple[Callable, Callable] | None:
+    """The compiled solve and the compiled loop of this problem, with the
+    arguments and results of controller._descend and of controller._simulate's
+    loop, once their one self-check agreed, else None, and the problem runs
+    both in Python; decided once per process for each c_source, eight
+    callbacks and sizes.  A problem without a c_source, or without one of
+    the four Python derivative callbacks (finite differences), runs in
+    Python without a self-check."""
     if problem.c_source is None or None in (
         problem.rhs_jac, problem.stage_cost_grad, problem.terminal_penalty_grad, problem.constraint_jac
     ):
@@ -246,13 +253,15 @@ def propagate(A_all: Array, B_all: Array, n_pred: int, n_steps: int, h: float) -
 
 
 def warm_up(problem: ProblemDefinition, n_zs: Sequence[int]) -> None:
-    """Build, load and self-check the recurrence for each n_z and the solve
-    for this problem, and build the RK4 kernel for its state.  tune calls it
-    before any solve is timed and before it forks its workers, so that they
-    inherit it all and never compile."""
-    for n_z in n_zs:
-        _recurrence_for(problem.n_x, n_z)
-    solve_for(problem)
+    """Build, load and self-check the solve and loop for this problem and,
+    where they run in Python, the recurrence for each n_z, and build the
+    RK4 kernel for its state.  tune calls it before any solve is timed and
+    before it forks its workers, so that they inherit it all and never
+    compile.  A compiled solve runs the recurrence only in its self-check,
+    which decides it for the sizes it reaches."""
+    if solve_for(problem) is None:
+        for n_z in n_zs:
+            _recurrence_for(problem.n_x, n_z)
     rk4_kernel(problem.n_x)
 
 
@@ -261,29 +270,40 @@ def _recurrence_for(n_x: int, n_z: int) -> Callable:
         _same(numpy_recurrence(*args), run(*args)) for args in _recurrence_draws(n_x, n_z)))
 
 
-_verdicts: dict[tuple, Callable | None] = {}  # key -> the recurrence, or the solve, that runs
+_verdicts: dict[tuple, object] = {}  # key -> the recurrence, or the solve and loop, that runs
 
 
 def _verdict(key: tuple, reference, bind: Callable, agree: Callable[[object], Iterator[bool]]):
     """What runs for key, decided at its first lookup: what bind compiles,
     if it gives the reference's bytes on every draw agree checks, and there
-    is one, else the reference."""
+    is one, else the reference, which also runs for key while agree runs."""
     if key not in _verdicts:
-        with np.errstate(all="ignore"):
-            compiled = bind()
-            checks = iter(()) if compiled is None else agree(compiled)
-            same = next(checks, False) and all(checks)
+        _verdicts[key] = reference
+        try:
+            with np.errstate(all="ignore"):
+                compiled = bind()
+                checks = iter(()) if compiled is None else agree(compiled)
+                same = next(checks, False) and all(checks)
+        except BaseException:
+            del _verdicts[key]
+            raise
         _verdicts[key] = compiled if same else reference
     return _verdicts[key]
 
 
 def _same(want, got) -> bool:
-    """Whether got has want's bytes: all of a recurrence's, or each of a
-    solve's results, the hex of a float for its cost."""
+    """Whether got has want's bytes: an array's, a float's (its hex), and
+    those of each of a solve's results or of a report's fields."""
     if isinstance(want, np.ndarray):
-        return got.tobytes() == want.tobytes()
-    z, cost, *counts = want
-    return z.tobytes() == got[0].tobytes() and float(cost).hex() == float(got[1]).hex() and counts == [*got[2:]]
+        return isinstance(got, np.ndarray) and want.shape == got.shape and want.tobytes() == got.tobytes()
+    if isinstance(want, float):
+        return isinstance(got, float) and want.hex() == got.hex()
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(want) == len(got) and all(map(_same, want, got))
+    if dataclasses.is_dataclass(want):
+        return type(want) is type(got) and all(
+            _same(getattr(want, f.name), getattr(got, f.name)) for f in dataclasses.fields(want))
+    return type(want) is type(got) and want == got
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,19 +366,26 @@ def _compile(cc: str, args: list[str], text: bytes, path: Path) -> None:
             os.unlink(partial)
 
 
-def _bind_solve(problem: ProblemDefinition) -> Callable | None:
-    """The compiled solve of this problem, with controller._descend's
-    arguments and results, and with numpy's BLAS routines and the descent's
-    constants bound; numpy's BLAS is looked up before anything is built."""
+def _bind_solve(problem: ProblemDefinition) -> tuple[Callable, Callable] | None:
+    """The compiled solve and the compiled loop of this problem, with the
+    arguments and results of controller._descend and of controller._simulate's
+    loop, and with numpy's BLAS routines and the descent's constants bound;
+    numpy's BLAS is looked up before anything is built."""
     from . import controller  # which imports this module
 
     routines = _numpy_blas()
     functions = None if routines is None else load("passes", problem.c_source)
     if functions is None:
         return None
-    run = functools.partial(functions[0], *routines, controller.ARMIJO_SLOPE, controller.G_TOL,
-                            controller.BACKTRACK_SHRINK, controller.MAX_BACKTRACKS, controller.WORK_PER_RK_STEP,
-                            problem.n_x, problem.n_u, problem.n_p, problem.n_q, problem.n_c)
+    run_solve, run_loop = (functools.partial(
+        function, *routines, controller.ARMIJO_SLOPE, controller.G_TOL, controller.BACKTRACK_SHRINK,
+        controller.MAX_BACKTRACKS, controller.WORK_PER_RK_STEP, problem.n_x, problem.n_u, problem.n_p, problem.n_q,
+        problem.n_c) for function in functions)
+
+    def descent(setting, c_eval, budget) -> tuple:
+        design = setting.design
+        return (design.n_pred, design.n_contr, setting.n_steps, design.max_iter, setting.tau_p, setting.tau_u,
+                design.rho_constr, design.rho_f, c_eval or 0.0, math.nan if budget is None else budget)
 
     def compiled_solve(setting, x, p, q, z, z_lo, z_hi, c_eval, budget):
         design, n_z = setting.design, z.size
@@ -369,15 +396,31 @@ def _bind_solve(problem: ProblemDefinition) -> Callable | None:
         # one buffer: x, p, q, z and the box, then z_opt and the cost, as passes.c lays them out
         buf = np.concatenate((x, p, q, z, z_lo, z_hi, z, z[:1]), dtype=np.float64)
         counts = (ctypes.c_int64 * 3)()
-        run(design.n_pred, design.n_contr, setting.n_steps, design.max_iter, setting.tau_p, setting.tau_u,
-            design.rho_constr, design.rho_f, c_eval or 0.0, math.nan if budget is None else budget, buf.ctypes.data,
-            counts)
+        run_solve(*descent(setting, c_eval, budget), buf.ctypes.data, counts)
         iterations, steps, diverged = counts
         if steps < 0:
             raise MemoryError("no memory for the states of a compiled solve")
         return buf[-n_z - 1 : -1], buf.item(-1), iterations, steps, bool(diverged)
 
-    return compiled_solve
+    def compiled_loop(setting, p, q, z, c_eval, budget, solver_times, ol_costs, max_viols, states, inputs):
+        design, m = setting.design, solver_times.size
+        z_lo, z_hi = setting.z_bounds()
+        if (p.size, q.size, z.size, states.shape, inputs.shape) != (
+            problem.n_p, problem.n_q, z_lo.size, (m * design.kappa + 1, problem.n_x), (m, problem.n_u)
+        ):
+            raise ValueError("a closed loop needs p, q, z and its records of the problem's and the design's sizes")
+        # one buffer: p, q, z and the box, then the closed-loop cost, as passes.c lays them out
+        buf = np.concatenate((p, q, z, z_lo, z_hi, z[:1]), dtype=np.float64)
+        counts = (ctypes.c_int64 * 3)()
+        run_loop(*descent(setting, c_eval, budget), m, design.kappa, setting.problem.tau, buf.ctypes.data,
+                 solver_times.ctypes.data, ol_costs.ctypes.data, max_viols.ctypes.data, states.ctypes.data,
+                 inputs.ctypes.data, counts)
+        n_solves, diverged_at, stopped_at = counts
+        if n_solves < 0:
+            raise MemoryError("no memory for the states of a compiled closed loop")
+        return n_solves, None if diverged_at < 0 else diverged_at, None if stopped_at < 0 else stopped_at, buf.item(-1)
+
+    return compiled_solve, compiled_loop
 
 
 def _bind_recurrence() -> Callable | None:
@@ -443,12 +486,53 @@ def _solve_draws(problem: ProblemDefinition) -> Iterator[tuple]:
     yield setting, np.full(problem.n_x, 1.0e300), p, q, z_lo, z_lo, z_hi, 1.0e-6, None
 
 
-def _agree(problem: ProblemDefinition, run: Callable) -> Iterator[bool]:
-    """Whether run gives controller._descend's bytes on each of _solve_draws."""
-    from .controller import _descend  # which imports this module
+# the self-check's closed loops: (kappa, updates, n_pred, n_contr, max_iter,
+# the budget in horizons of work or None, the start).  "middle": the state and
+# q at the middle of their boxes, and a random warm start given, from which
+# PVTOL's stage cost is its input terms alone, so that a one-ulp change of one
+# can show in the closed-loop cost; "random": a random state and the default
+# warm start, stopped by the budget at its first update; "far": a state of
+# 1e300 in every component, whose first solve diverges
+LOOP_DRAWS = ((3, 2, 3, 2, 1, None, "middle"), (2, 2, 3, 2, 3, 1.5, "random"), (2, 2, 3, 1, 2, None, "far"))
 
+
+def _loop_draws(problem: ProblemDefinition) -> Iterator[tuple]:
+    """The self-check's closed loops, with controller._simulate's arguments
+    but its loop: scenarios lasting a few updates, parameters drawn around
+    p_nom, cost-model timing at c_eval 1e-6 and penalty weights over three
+    and six decades."""
+    from . import controller  # which imports this module
+
+    rng = np.random.default_rng(35)
+    timing = controller.TimingSpec("cost-model", c_eval=1.0e-6)
+    for kappa, updates, n_pred, n_contr, max_iter, horizons, start in LOOP_DRAWS:
+        rho_f, rho_constr = (float(10.0 ** rng.uniform(0.0, decades)) for decades in (3.0, 6.0))
+        design = DesignVector(kappa=kappa, mu_d=0.5, n_pred=n_pred, n_contr=n_contr, rho_f=rho_f,
+                              rho_constr=rho_constr, max_iter=max_iter)
+        setting = controller.MpcSetting.from_design(problem, design)
+        middle = start == "middle"
+        x0 = 0.5 * (problem.x_min + problem.x_max) if middle else rng.uniform(problem.x_min, problem.x_max)
+        p = problem.p_nom + problem.p_std * rng.standard_normal(problem.n_p)
+        q = 0.5 * (problem.q_min + problem.q_max) if middle else rng.uniform(problem.q_min, problem.q_max)
+        scenario = Scenario(np.full(problem.n_x, 1.0e300) if start == "far" else x0, p, q, updates * setting.tau_u)
+        z0 = rng.uniform(*setting.z_bounds()) if middle else None
+        budget = None if horizons is None else (
+            1.0e-6 * controller.WORK_PER_RK_STEP * n_pred * setting.n_steps * horizons)
+        yield setting, scenario, timing, z0, budget
+
+
+def _agree(problem: ProblemDefinition, run: tuple[Callable, Callable]) -> Iterator[bool]:
+    """Whether run's solve gives controller._descend's bytes on each of
+    _solve_draws, and run's loop controller._simulate's Python loop's on each
+    of _loop_draws; that loop's solves run _descend, as the verdict is still
+    the reference."""
+    from . import controller  # which imports this module
+
+    solve, loop = run
     for args in _solve_draws(problem):
-        yield _same(_descend(*args), run(*args))
+        yield _same(controller._descend(*args), solve(*args))
+    for args in _loop_draws(problem):
+        yield _same(controller._simulate(*args, None), controller._simulate(*args, loop))
 
 
 def _recurrence_draws(n_x: int, n_z: int) -> Iterator[tuple]:

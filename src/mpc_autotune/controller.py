@@ -18,6 +18,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -315,7 +316,8 @@ def solve(
         repeats = 1
     else:
         budget = None  # a wallclock solve runs to its end
-    descend = compiled.solve_for(setting.problem) or _descend
+    fast = compiled.solve_for(setting.problem)
+    descend = fast[0] if fast else _descend
 
     times = []
     # divergent trial trajectories are expected and handled; keep them quiet
@@ -346,16 +348,38 @@ def simulate_closed_loop(
     The plant always advances at the problem's sampling period tau; the input
     is held for kappa fine steps between updates.  Warm starts shift the
     previous solution by one block.  The stage cost and the constraint map
-    get x, u, p and q as tuples of floats, as in a cost pass.  On solver or
-    plant divergence the report is flagged and the remaining per-update
-    entries read +inf.  Given a real-time budget, the simulation stops at
-    the first update whose solve overruns it (see ClosedLoopReport); the
-    solve gets the budget too.
+    get x, u, p and q as tuples of floats, as in a cost pass; an update's
+    max_violations entry is the largest constraint value on its kappa + 1
+    fine states, NaN if one is.  On solver or plant divergence the report is
+    flagged and the remaining per-update entries read +inf.  Given a
+    real-time budget, the simulation stops at the first update whose solve
+    overruns it (see ClosedLoopReport); the solve gets the budget too.
+
+    A cost-model simulation runs in one call of the problem's compiled loop
+    where compiled.solve_for gives one, with the bytes of this module's
+    loop.  A wallclock simulation always runs this module's loop, which
+    calls solve once per update, so that each solve is timed by the Python
+    clock.
     """
+    fast = compiled.solve_for(setting.problem) if timing.mode == "cost-model" and timing.c_eval is not None else None
+    return _simulate(setting, scenario, timing, z0, budget, fast and fast[1])
+
+
+def _simulate(
+    setting: MpcSetting,
+    scenario: Scenario,
+    timing: TimingSpec,
+    z0: Array | None,
+    budget: float | None,
+    loop: Callable | None,
+) -> ClosedLoopReport:
+    """simulate_closed_loop, its updates in one call of loop, a compiled
+    loop, where given, else in the Python loop below, one solve call each.
+    Both fill the report arrays allocated here and give the solves, the
+    updates of the divergence and of the stop, and the closed-loop cost."""
     prob, design = setting.problem, setting.design
     kappa, tau, tau_u = design.kappa, prob.tau, setting.tau_u
     p, q = scenario.p, scenario.q
-    pt, qt = tuple(p.tolist()), tuple(q.tolist())
     m = update_count(scenario.duration, tau_u)
 
     solver_times = np.full(m, math.inf)
@@ -371,34 +395,40 @@ def simulate_closed_loop(
     diverged_at: int | None = None
     stopped_at: int | None = None
 
-    for k in range(m):
-        rows = states[k * kappa : (k + 1) * kappa + 1]
-        x = rows[0]
-        result = solve(setting, x, p, q, z_warm, timing, budget=budget)
-        n_solves += 1
-        if result.diverged:
-            diverged_at = k
-            break
-        solver_times[k] = result.solver_time
-        if budget is not None and budget_excess(result.solver_time, budget) > 0.0:
-            stopped_at = k
-            break
-        ol_costs[k] = result.cost
-        u = result.z_opt[: prob.n_u].copy()
-        inputs[k] = u
-        ut = tuple(u.tolist())
-        cl_cost += prob.stage_cost(tuple(x.tolist()), ut, pt, qt) * tau_u
+    if loop is not None:
+        n_solves, diverged_at, stopped_at, cl_cost = loop(
+            setting, p, q, z_warm, timing.c_eval, budget, solver_times, ol_costs, max_viols, states, inputs)
+    else:
+        pt, qt = tuple(p.tolist()), tuple(q.tolist())
+        for k in range(m):
+            rows = states[k * kappa : (k + 1) * kappa + 1]
+            x = rows[0]
+            result = solve(setting, x, p, q, z_warm, timing, budget=budget)
+            n_solves += 1
+            if result.diverged:
+                diverged_at = k
+                break
+            solver_times[k] = result.solver_time
+            if budget is not None and budget_excess(result.solver_time, budget) > 0.0:
+                stopped_at = k
+                break
+            ol_costs[k] = result.cost
+            u = result.z_opt[: prob.n_u].copy()
+            inputs[k] = u
+            ut = tuple(u.tolist())
+            cl_cost += prob.stage_cost(tuple(x.tolist()), ut, pt, qt) * tau_u
 
-        try:
-            hold_input(prob.rhs, rows, u, p, tau)
-        except PropagationError:
-            diverged_at = k
-            break
-        if prob.n_c:
-            max_viols[k] = max(np.max(prob.constraint_map(tuple(row), ut, pt, qt)) for row in rows.tolist())
-        else:
-            max_viols[k] = 0.0
-        z_warm = shift_warm_start(result.z_opt, prob.n_u)
+            try:
+                hold_input(prob.rhs, rows, u, p, tau)
+            except PropagationError:
+                diverged_at = k
+                break
+            if prob.n_c:
+                # one np.max over the values of every row, so that a NaN anywhere reads NaN
+                max_viols[k] = np.max([prob.constraint_map(row, ut, pt, qt) for row in map(tuple, rows.tolist())])
+            else:
+                max_viols[k] = 0.0
+            z_warm = shift_warm_start(result.z_opt, prob.n_u)
 
     diverged = diverged_at is not None
     return ClosedLoopReport(

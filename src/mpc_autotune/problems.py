@@ -76,11 +76,12 @@ class ProblemDefinition:
     constraint_jac are still defined, with empty bodies, when n_c is 0.
     The eight are one contract: given all of them, and rhs_jac,
     stage_cost_grad, terminal_penalty_grad and constraint_jac in Python
-    too, each solve runs in one compiled call, once a self-check per
-    process has found the Python solve's bytes on random solves.  A
-    c_source without one of the eight, a problem without one of the Python
-    derivative callbacks, or a host without a C compiler runs the solve in
-    Python.
+    too, each solve runs in one compiled call, and so does each cost-model
+    closed-loop simulation, its plant, stage costs and constraint values
+    included, once a self-check per process has found the Python bytes on
+    random solves and closed loops.  A c_source without one of the eight, a
+    problem without one of the Python derivative callbacks, or a host
+    without a C compiler runs both in Python.
     """
 
     n_x: int

@@ -263,6 +263,105 @@ void constraint_jac(const double *x, const double *u, const double *p, const dou
     )
 
 
+def clock_constraint(x, u, p, q):
+    return (math.nan if 0.0 < x[1] < 0.15 else x[0] - 0.8,)
+
+
+def clock_rhs_jac(x, u, p):
+    lead = x.shape[:-1]
+    B = np.zeros(lead + (2, 1))
+    B[..., 0, 0] = 1.0
+    return np.zeros(lead + (2, 2)), B
+
+
+def clock_stage_cost_grad(x, u, p, q):
+    lx = np.zeros(x.shape)
+    lx[..., 0] = x[..., 0] * 2.0
+    return lx, u * 2.0
+
+
+def clock_constraint_jac(x, u, p, q):
+    lead = x.shape[:-1]
+    Cx = np.zeros(lead + (1, 2))
+    Cx[..., 0, 0] = 1.0
+    return Cx, np.zeros(lead + (1, 1))
+
+
+def clock_problem() -> ProblemDefinition:
+    """Plant xdot = (u, 1): a position and a clock, with tau = 0.1, costs on
+    the position and the constraint x[0] <= 0.8, whose value is NaN while
+    the clock lies strictly between 0 and 0.15.  From a clock of 0, a closed
+    loop's first update reads NaN only on its fine state at 0.1; with kappa
+    = 2, a prediction period ends at 0.2 at the earliest, so no solve reads
+    it.  Its callbacks are in C too."""
+    return ProblemDefinition(
+        n_x=2,
+        n_u=1,
+        n_p=1,
+        n_q=1,
+        n_c=1,
+        tau=0.1,
+        u_min=[-2.0],
+        u_max=[2.0],
+        x_min=[-1.0, 0.0],
+        x_max=[1.0, 0.0],
+        q_min=[0.0],
+        q_max=[0.0],
+        p_nom=[0.0],
+        p_std=[0.0],
+        rhs=lambda x, u, p: (u[0], 1.0),
+        constraint_map=clock_constraint,
+        stage_cost=lambda x, u, p, q: x[0] * x[0] + u[0] * u[0],
+        terminal_penalty_base=lambda x, p, q: x[0] * x[0],
+        rhs_jac=clock_rhs_jac,
+        stage_cost_grad=clock_stage_cost_grad,
+        terminal_penalty_grad=lambda x, p, q: np.array([x[0] * 2.0, 0.0]),
+        constraint_jac=clock_constraint_jac,
+        c_source="""
+void rhs(const double *x, const double *u, const double *p, double *dx)
+{
+    dx[0] = u[0];
+    dx[1] = 1.0;
+}
+double stage_cost(const double *x, const double *u, const double *p, const double *q)
+{
+    return x[0] * x[0] + u[0] * u[0];
+}
+void constraint_map(const double *x, const double *u, const double *p, const double *q, double *c)
+{
+    c[0] = 0.0 < x[1] && x[1] < 0.15 ? NAN : x[0] - 0.8;
+}
+double terminal_penalty_base(const double *x, const double *p, const double *q)
+{
+    return x[0] * x[0];
+}
+void rhs_jac(const double *x, const double *u, const double *p, double *A, double *B)
+{
+    A[0] = A[1] = A[2] = A[3] = 0.0;
+    B[0] = 1.0;
+    B[1] = 0.0;
+}
+void stage_cost_grad(const double *x, const double *u, const double *p, const double *q, double *lx, double *lu)
+{
+    lx[0] = x[0] * 2.0;
+    lx[1] = 0.0;
+    lu[0] = u[0] * 2.0;
+}
+void terminal_penalty_grad(const double *x, const double *p, const double *q, double *g)
+{
+    g[0] = x[0] * 2.0;
+    g[1] = 0.0;
+}
+void constraint_jac(const double *x, const double *u, const double *p, const double *q, double *Cx, double *Cu)
+{
+    Cx[0] = 1.0;
+    Cx[1] = 0.0;
+    Cu[0] = 0.0;
+}
+""",
+    )
+
+
 def point_pvtol_rhs_jac(x, u, p):
     """PVTOL's Jacobians at one point, written with math.sin and math.cos: a
     callback that indexes x[2] and so cannot take stacked points."""

@@ -32,7 +32,8 @@ from mpc_autotune import (
 
 from mpc_autotune import compiled, controller
 from mpc_autotune.controller import _cost_pass, _grad_pass
-from conftest import block_index, double_integrator_problem, integrator_problem, quadratic_problem
+from mpc_autotune.tuning import constraint_excess
+from conftest import block_index, clock_problem, double_integrator_problem, integrator_problem, quadratic_problem
 
 COST_TIMING = TimingSpec(mode="cost-model", c_eval=1.0e-6)
 NO_PQ = (np.zeros(1), np.zeros(1))
@@ -506,19 +507,20 @@ def counting(counts, key, fn):
 
 
 def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
-    # the one self-check runs the Python solve once per draw, and afterwards
-    # every solve, its cost passes among them, is one compiled call; neither
-    # the Python solve, the Python pass, rhs nor a Python callback of the
-    # objective runs again
+    # the one self-check runs the Python solve once per solve draw and once
+    # per update of its closed-loop draws, and afterwards every solve, its
+    # cost passes among them, is one compiled call; neither the Python solve,
+    # the Python pass, rhs nor a Python callback of the objective runs again
     prob, setting = pvtol_setting()
     functions = compiled.load("passes", prob.c_source)
     if functions is None:
         pytest.skip("the compiled solve cannot be built here")
     callbacks = ("rhs", "rhs_jac", "stage_cost_grad", "constraint_jac", "terminal_penalty_base")
-    counts = dict.fromkeys(("compiled", "python solves", "python passes") + callbacks, 0)
+    counts = dict.fromkeys(("compiled", "compiled loops", "python solves", "python passes") + callbacks, 0)
     load = compiled.load
     monkeypatch.setattr(compiled, "load", lambda stem, c_source="": (
-        (counting(counts, "compiled", functions[0]),) if stem == "passes" else load(stem, c_source)))
+        (counting(counts, "compiled", functions[0]), counting(counts, "compiled loops", functions[1]))
+        if stem == "passes" else load(stem, c_source)))
     monkeypatch.setattr(compiled, "_verdicts", {})
     monkeypatch.setattr(compiled, "python_pass", counting(counts, "python passes", compiled.python_pass))
     monkeypatch.setattr(controller, "_descend", counting(counts, "python solves", controller._descend))
@@ -526,7 +528,8 @@ def test_compiled_passes_run_every_cost_pass_after_the_self_check(monkeypatch):
         setattr(prob, name, counting(counts, name, getattr(prob, name)))
     assert compiled.solve_for(prob) is not None
     draws = len(list(compiled._solve_draws(prob)))
-    assert counts["compiled"] == counts["python solves"] == draws and counts["python passes"] > draws
+    assert counts["compiled"] == draws and counts["compiled loops"] == len(compiled.LOOP_DRAWS)
+    assert counts["python solves"] > draws and counts["python passes"] > draws
     assert counts["rhs"] > 0
     x0 = np.array([0.3, -0.2, 0.1, 0.0, 0.0, 0.0])
     calls = []
@@ -628,6 +631,21 @@ def test_closed_loop_divergence_is_flagged():
     assert report.n_solves <= report.m
 
 
+@pytest.mark.parametrize("c_source", [False, True], ids=["python", "compiled"])
+def test_a_nan_constraint_value_after_the_first_fine_step_fails_the_certification(c_source):
+    # the first update's rows read -0.5, then NaN, then a finite value: a
+    # maximum that dropped the NaN would read -0.5 and pass
+    prob = clock_problem() if c_source else dataclasses.replace(clock_problem(), c_source=None)
+    design = DesignVector(kappa=2, mu_d=1.0, n_pred=2, n_contr=1, rho_f=1.0, rho_constr=1.0, max_iter=5)
+    setting = MpcSetting.from_design(prob, design)
+    scenario = Scenario(x0=np.array([0.3, 0.0]), p=np.zeros(1), q=np.zeros(1), duration=0.4)
+    report = simulate_closed_loop(setting, scenario, COST_TIMING)
+    assert report.m == report.n_solves == 2 and not report.diverged
+    assert prob.constraint_map(tuple(report.states[0]), (0.0,), (0.0,), (0.0,)) == (-0.5,)
+    assert math.isnan(report.max_violations[0]) and math.isfinite(report.max_violations[1])
+    assert constraint_excess(report) == math.inf
+
+
 def test_budgeted_solve_is_over_exactly_when_the_full_solve_is():
     prob, setting = pvtol_setting()
     x0 = np.array([0.6, -0.4, 0.2, 0.3, -0.2, 0.1])
@@ -686,6 +704,27 @@ def test_closed_loop_stops_at_first_overrun():
     np.testing.assert_array_equal(loose.solver_times, full.solver_times)
     np.testing.assert_array_equal(loose.states, full.states)
     assert loose.closed_loop_cost == full.closed_loop_cost
+
+
+def test_a_wallclock_simulation_calls_solve_once_per_update(monkeypatch):
+    # a cost-model simulation runs the compiled loop where the problem has
+    # one, which calls no solve; a wallclock one runs the Python loop, so
+    # that Python's clock times each solve, and records all else alike
+    prob, setting = pvtol_setting()
+    fast = compiled.solve_for(prob)  # decided first: its self-check calls solve
+    calls = []
+    real = controller.solve
+    monkeypatch.setattr(controller, "solve", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    scenario = Scenario(x0=np.array([0.4, -0.3, 0.1, 0.0, 0.0, 0.0]), p=prob.p_nom, q=np.array([0.0, 0.0, 1.0, 0.5]),
+                        duration=0.2)
+    wall = simulate_closed_loop(setting, scenario, TimingSpec("wallclock"))
+    assert len(calls) == wall.n_solves == wall.m == 4
+    calls.clear()
+    cost = simulate_closed_loop(setting, scenario, COST_TIMING)
+    assert len(calls) == (0 if fast else cost.n_solves)
+    for name in ("open_loop_costs", "max_violations", "states", "inputs"):
+        assert getattr(wall, name).tobytes() == getattr(cost, name).tobytes(), name
+    assert wall.closed_loop_cost == cost.closed_loop_cost
 
 
 def test_report_json_roundtrip():

@@ -22,6 +22,8 @@ TINY = dict(problem="pvtol", n_trials=2, nb=2, nsb=1, duration=0.1, timing_mode=
 # penalty's gradient; without the derivatives, and without the terminal callbacks
 CHANGED_DERIVATIVE = PVTOL.c_source.replace("= p[1];", "= p[1] * 1.0000000000000002;")
 CHANGED_TERMINAL = PVTOL.c_source.replace("dx[i] / norm;", "dx[i] / norm * 1.0000000000000002;")
+# and the stage cost's input term 0.1 * u[1] * u[1]
+CHANGED_INPUT_COST = PVTOL.c_source.replace("0.1 * u[1] * u[1]", "0.10000000000000002 * u[1] * u[1]")
 VALUES_ONLY = PVTOL.c_source[: PVTOL.c_source.index("void rhs_jac")]
 NO_TERMINAL = "\n\n".join(part for part in PVTOL.c_source.split("\n\n") if "terminal_penalty" not in part)
 
@@ -36,7 +38,7 @@ def compiled_objective(prob):
 
     def objective(setting, x, p, q, z):
         z_lo, z_hi = setting.z_bounds()
-        _, cost, iterations, steps, _ = run(setting, x, p, q, z, z_lo, z_hi, 1.0, 1.0e-300)
+        _, cost, iterations, steps, _ = run[0](setting, x, p, q, z, z_lo, z_hi, 1.0, 1.0e-300)
         assert iterations == 0
         return cost, steps
     return objective
@@ -143,7 +145,7 @@ def test_a_self_check_draw_that_diverges_by_a_math_domain_error_keeps_the_compil
     setting = setting_of(PVTOL, 3, 2, 3, 0.15)
     diverging = (setting, x, PVTOL.p_nom, PVTOL.q_min, np.tile(PVTOL.u_trim, 2), *setting.z_bounds(), 1e-6, None)
     with np.errstate(all="ignore"):
-        want, got = controller._descend(*diverging), run(*diverging)
+        want, got = controller._descend(*diverging), run[0](*diverging)
     assert want[4] and compiled._same(want, got)
     draws = compiled._solve_draws
     monkeypatch.setattr(compiled, "_solve_draws", lambda problem: [diverging, *draws(problem)])
@@ -167,6 +169,14 @@ def test_a_changed_constant_fails_the_self_check(fresh_build):
         altered = dataclasses.replace(PVTOL, c_source=c_source)
         assert c_source != PVTOL.c_source and compiled._bind_solve(altered) is not None
         assert compiled.solve_for(altered) is None
+    # a one-ulp change of the stage cost's input term passes every solve
+    # draw; the closed-loop draws, which compare the closed-loop cost, fail it
+    altered = dataclasses.replace(PVTOL, c_source=CHANGED_INPUT_COST)
+    run = compiled._bind_solve(altered)
+    assert CHANGED_INPUT_COST != PVTOL.c_source and run is not None
+    with np.errstate(all="ignore"):
+        assert all(compiled._same(controller._descend(*args), run[0](*args)) for args in compiled._solve_draws(PVTOL))
+    assert compiled.solve_for(altered) is None
 
 
 def test_a_failed_build_is_recorded_and_not_tried_again(tmp_path, fresh_build, monkeypatch):
@@ -300,27 +310,35 @@ def test_every_c_file_is_package_data():
 
 
 def test_a_pooled_run_builds_the_cost_pass_once_before_the_fork(tmp_path, fresh_build, monkeypatch):
-    # the cost pass is part of the compiled solve, which the parent builds
-    # and self-checks, and the workers run
-    solves = tmp_path / "solves"
-    real = compiled._bind_solve
+    # the cost pass is part of the compiled solve and loop, which the parent
+    # builds and self-checks before the fork, and the workers run: no worker
+    # binds the library or runs a self-check, and each simulation of a
+    # worker is one call of the compiled loop
+    log = tmp_path / "log"
 
-    def logged(problem):
+    def logged(name, fn):
+        def logging(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {name}\n")
+            return fn(*args)
+        return logging
+
+    def logged_bind(problem):
         fast = real(problem)
-        if fast is None:
-            return None
+        return fast and (logged("solve", fast[0]), logged("loop", fast[1]))
 
-        def logging_solve(*args):
-            with open(solves, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return fast(*args)
-        return logging_solve
-
-    monkeypatch.setattr(compiled, "_bind_solve", logged)
+    real = compiled._bind_solve
+    monkeypatch.setattr(compiled, "_bind_solve", logged("bind", logged_bind))
+    monkeypatch.setattr(compiled, "_agree", logged("self-check", compiled._agree))
     run(RunConfig(**TINY, jobs=2, out_dir=str(tmp_path / "out")))
     assert fresh_build("passes") == [os.getpid()]
-    assert ran_compiled()  # the parent self-checked; the workers ran the solves
-    assert {int(pid) for pid in solves.read_text().split()} - {os.getpid()}
+    assert ran_compiled()
+    ran: dict[int, set] = {}
+    for pid, name in map(str.split, log.read_text().splitlines()):
+        ran.setdefault(int(pid), set()).add(name)
+    # the self-check runs both entries in the parent
+    assert ran.pop(os.getpid()) == {"bind", "self-check", "solve", "loop"}
+    assert ran and all(names == {"loop"} for names in ran.values())
 
 
 def apply_fallback(case, tmp_path, monkeypatch):
@@ -359,7 +377,7 @@ def test_a_pooled_run_builds_the_grad_pass_once_before_the_fork(case, tmp_path, 
 
     def logged_bind(problem):
         fast = bind(problem)
-        return fast and logged("compiled", fast)
+        return fast and tuple(logged("compiled", entry) for entry in fast)
 
     bind = compiled._bind_solve
     monkeypatch.setattr(compiled, "_bind_solve", logged_bind)
